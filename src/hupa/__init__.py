@@ -13,8 +13,8 @@ from .errors import (CannotFitError, DegenerateInputError, FieldFormatError,
                      HupaError, IncommensurateBoxError, PatternFormatError,
                      TargetUnreachableError, TessellationError,
                      WindowTooLargeError)
-from .field import (BinaryField, field_dark_fraction_in_window, load_field,
-                    rasterize_tessellation, save_field)
+from .field import (BinaryField, load_field, rasterize_tessellation,
+                    save_field)
 from .generators import (GENERATOR_KINDS, LATTICE_KINDS, GeneratorSpec,
                          derive_seed, ensemble, generate, generate_lattice,
                          generate_perturbed_lattice, generate_poisson,
@@ -54,7 +54,6 @@ __all__ = [
     "ensemble_cell_statistics", "circumcircle_violations", "face_model",
     "save_tess", "load_tess",
     "BinaryField", "load_field", "save_field", "rasterize_tessellation",
-    "field_dark_fraction_in_window",
     "render_pattern", "render_tess_model",
     "build_report", "report_json", "write_report", "validate_report",
     "file_digest",

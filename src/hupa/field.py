@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,9 @@ from .variance import (DEFAULT_N_RADII, DEFAULT_R_MAX_FACTOR, MEMBERSHIP_TOL,
                        check_window_radius, radius_sweep)
 
 DEFAULT_R_MIN_PIXELS = 4.0
-_CHUNK = 2048
+# Windows x visited rows per chunk of the window engine (~1 MiB per
+# temporary array).
+_CHUNK_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -95,47 +98,68 @@ class BinaryField:
         radius of each window center.
 
         Exact: per window and per grid row, the in-window pixels form one
-        wrapped column interval, counted against the row prefix sums.  A
-        window too small to contain any pixel center reports 0.
-        ``workers`` is accepted for interface symmetry; the computation is
-        deterministic regardless.
+        wrapped column interval, counted against the row prefix sums.
+        Only the band of ceil(2R/h) + 3 rows around each center is
+        visited (all rows once the band would cover the grid); rows
+        outside it lie more than R + h from the center.  A window too
+        small to contain any pixel center reports 0.
+
+        Windows are evaluated in chunks of about 2**17 window rows, so
+        temporaries stay bounded for any raster.  With ``workers`` > 1 the
+        chunks run on that many threads; every count is an exact integer,
+        so the values never depend on ``workers``.
         """
         radius = check_window_radius(self.box, radius) + MEMBERSHIP_TOL
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
         out = np.empty(len(centers))
-        for lo in range(0, len(centers), _CHUNK):
-            chunk = centers[lo:lo + _CHUNK]
-            out[lo:lo + _CHUNK] = self._fractions_chunk(chunk, radius)
+        band = min(math.ceil(2.0 * radius / self.pixel_size) + 3,
+                   self.bits.shape[0])
+        step = max(1, _CHUNK_ELEMENTS // band)
+        starts = range(0, len(centers), step)
+
+        def run(lo):
+            out[lo:lo + step] = self._fractions_chunk(
+                centers[lo:lo + step], radius, band)
+
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(run, starts))
+        else:
+            for lo in starts:
+                run(lo)
         return out
 
-    def _fractions_chunk(self, centers: np.ndarray, radius: float) -> np.ndarray:
+    def _fractions_chunk(self, centers: np.ndarray, radius: float,
+                         band: int) -> np.ndarray:
         ny, nx = self.bits.shape
-        lx, ly = self.box.lengths
+        ly = self.box.lengths[1]
         h = self.pixel_size
         cx = centers[:, 0:1]
         cy = centers[:, 1:2]
-        yrows = (np.arange(ny) + 0.5) * h
-        dy = yrows[None, :] - cy
+        if band < ny:
+            first = np.floor((cy - radius) / h - 0.5).astype(np.int64)
+            rows = (first + np.arange(band)) % ny
+        else:
+            rows = np.broadcast_to(np.arange(ny), (len(centers), ny))
+        dy = (rows + 0.5) * h - cy
         dy -= np.round(dy / ly) * ly
         inside = np.abs(dy) <= radius
         half = np.sqrt(np.maximum(radius * radius - dy * dy, 0.0))
         jlo = np.ceil((cx - half) / h - 0.5).astype(np.int64)
         jhi = np.floor((cx + half) / h - 0.5).astype(np.int64)
-        n_states = np.where(inside, np.minimum(jhi - jlo + 1, nx), 0)
-        n_states = np.maximum(n_states, 0)
+        n_states = np.where(inside, np.clip(jhi - jlo + 1, 0, nx), 0)
 
-        rows = np.broadcast_to(np.arange(ny)[None, :], jlo.shape)
-        full = n_states >= nx
-        a = np.where(inside & ~full, jlo, 0) % nx
-        b = np.where(inside & ~full, jhi, 0) % nx
-        pref = self._prefix
-        row_total = pref[:, nx]
-        wraps = a > b
-        straight = pref[rows, b + 1] - pref[rows, a]
-        wrapped = (row_total[None, :] - pref[rows, a]) + pref[rows, b + 1]
-        dark = np.where(wraps, wrapped, straight)
-        dark = np.where(full, row_total[None, :], dark)
-        dark = np.where(inside & (n_states > 0), dark, 0)
+        # One flat gather into the (ny, nx + 1) prefix table per interval
+        # end; a wrapped interval adds the whole row back.
+        pref = self._prefix.ravel()
+        base = rows * (nx + 1)
+        row_total = pref[base + nx]
+        a = jlo % nx
+        b = jhi % nx
+        dark = pref[base + b + 1] - pref[base + a]
+        dark += np.where(a > b, row_total, 0)
+        dark = np.where(n_states >= nx, row_total, dark)
+        dark = np.where(n_states > 0, dark, 0)
         total = n_states.sum(axis=1)
         dark_total = dark.sum(axis=1)
         return np.where(total > 0, dark_total / np.maximum(total, 1), 0.0)
@@ -144,11 +168,6 @@ class BinaryField:
         """Dark fraction inside one window."""
         return float(self.window_dark_fractions(
             np.asarray(center, dtype=float), radius)[0])
-
-
-def field_dark_fraction_in_window(field_: BinaryField, center,
-                                  radius: float) -> float:
-    return field_.dark_fraction_in_window(center, radius)
 
 
 def rasterize_tessellation(tess, pixels_per_axis: int,

@@ -300,6 +300,21 @@ class TestField:
         assert "notes" not in report
         assert report["class"]["mode"] == "dark_fraction"
 
+    def test_byte_identical_across_threads(self, capsys, tmp_path):
+        rng = np.random.default_rng(23)
+        img = self.make_image(tmp_path, rng.random((96, 96)) < 0.4)
+        base = str(tmp_path / "f")
+        blobs = []
+        # 8000 windows span two or more engine chunks at each radius
+        for threads in ("1", "2"):
+            code, _, _ = run(capsys, "field", img, "--radii", "12,20,30",
+                             "--windows", "8000", "--threads", threads,
+                             "-o", base)
+            assert code == 0
+            blobs.append((open(base + ".csv", "rb").read(),
+                          open(base + ".json", "rb").read()))
+        assert blobs[0] == blobs[1]
+
     def test_all_dark_image_is_degenerate(self, capsys, tmp_path):
         img = self.make_image(tmp_path, np.ones((32, 32), dtype=bool))
         code, _, stderr = run(capsys, "field", img, "--radii", "2,4,8",

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 
 from hupa.errors import (DegenerateInputError, FieldFormatError,
                          WindowTooLargeError)
-from hupa.field import (BinaryField, field_dark_fraction_in_window,
-                        load_field, rasterize_tessellation, save_field)
+from hupa.field import (_CHUNK_ELEMENTS, BinaryField, load_field,
+                        rasterize_tessellation, save_field)
 from hupa.generators import GeneratorSpec, generate
 from hupa.pattern import BoxDomain, PointPattern
 from hupa.tessellation import voronoi
@@ -118,15 +119,46 @@ class TestWindowFractions:
         c = (3.0, 2.0)
         batch = f.window_dark_fractions(np.array([c]), 1.5)[0]
         assert f.dark_fraction_in_window(c, 1.5) == batch
-        assert field_dark_fraction_in_window(f, c, 1.5) == batch
 
     def test_workers_do_not_change_values(self):
         rng = np.random.default_rng(13)
         f = random_field(rng, 32, (16.0, 16.0))
-        centers = rng.uniform(0.0, 16.0, size=(50, 2))
-        a = f.window_dark_fractions(centers, 2.5, workers=1)
-        b = f.window_dark_fractions(centers, 2.5, workers=4)
-        assert np.array_equal(a, b)
+        # the largest radius visits all 32 rows, so the windows fill more
+        # than three chunks and the thread pool really runs; a short
+        # switch interval interleaves the threads' writes into the output
+        n = 3 * _CHUNK_ELEMENTS // 32 + 1
+        centers = rng.uniform(0.0, 16.0, size=(n, 2))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for radius in (0.3, 2.5, 7.5):
+                a = f.window_dark_fractions(centers, radius, workers=1)
+                for workers in (2, 4):
+                    b = f.window_dark_fractions(centers, radius,
+                                                workers=workers)
+                    assert np.array_equal(a, b), (radius, workers)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_row_band_edges_match_brute_force(self):
+        # 30 x 20 pixels: the row band wraps through the y seam, and the
+        # largest radii switch from a band of rows to every row
+        rng = np.random.default_rng(16)
+        nx, ny, h = 30, 20, 0.37
+        f = make_field(rng.random((ny, nx)) < 0.45, (nx * h, ny * h))
+        lx, ly = f.box.lengths
+        xs = [0.0, h, 0.5 * h, 13 * h, 13.5 * h, (nx - 0.5) * h, lx - 1e-9]
+        ys = [0.0, h, 0.5 * h, 9 * h, 9.5 * h, (ny - 0.5) * h, ly - 1e-9]
+        centers = np.array([(x, y) for x in xs for y in ys])
+        # a band of ceil(2R/h) + 3 rows stays below ny up to R = 8h
+        band_max = (ny - 4) / 2 * h - 1e-9
+        for radius in (0.5 * h, 2 * h, band_max, 0.49 * min(lx, ly)):
+            got = f.window_dark_fractions(centers, radius)
+            for c, frac in zip(centers, got):
+                dark, total = dark_fraction_window_brute(
+                    f.bits, f.box.lengths, c, radius)
+                want = 0.0 if total == 0 else dark / total
+                assert frac == want, (c, radius)
 
     def test_radius_limits(self):
         f = make_field(np.zeros((8, 8), dtype=bool), (8.0, 8.0))
