@@ -30,10 +30,9 @@ from .tessellation import (Cell, CellStats, FaceModel, FaceRecord,
                            ensemble_cell_statistics, face_model, load_tess,
                            save_tess, voronoi)
 from .variance import (MODE_FRACTION, MODE_NUMBER, OrderClass, ScalingFit,
-                       VarianceCurve, analyze, classify, count_in_window,
-                       fit_scaling, fraction_variance_curve, grid_centers,
-                       number_variance_curve, radius_sweep, random_centers,
-                       window_counts)
+                       VarianceCurve, analyze, classify, default_radii,
+                       fit_scaling, grid_centers, radius_sweep, random_centers,
+                       variance_curve, window_counts)
 
 __all__ = [
     "__version__",
@@ -46,9 +45,9 @@ __all__ = [
     "generate", "ensemble", "generate_poisson", "generate_lattice",
     "generate_perturbed_lattice", "generate_rsa_packing",
     "MODE_NUMBER", "MODE_FRACTION", "VarianceCurve", "ScalingFit",
-    "OrderClass", "analyze", "classify", "count_in_window", "fit_scaling",
-    "fraction_variance_curve", "grid_centers", "number_variance_curve",
-    "radius_sweep", "random_centers", "window_counts",
+    "OrderClass", "analyze", "classify", "default_radii", "fit_scaling",
+    "grid_centers", "radius_sweep", "random_centers", "variance_curve",
+    "window_counts",
     "Triangulation", "Tessellation", "Cell", "CellStats", "FaceModel",
     "FaceRecord", "delaunay", "voronoi", "cell_statistics",
     "ensemble_cell_statistics", "circumcircle_violations", "face_model",

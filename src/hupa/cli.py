@@ -15,8 +15,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .errors import HupaError, IncommensurateBoxError
 from .field import BinaryField, load_field
@@ -26,9 +24,7 @@ from .report import build_report, write_report
 from .svg import DEFAULT_SCALE, render_pattern, render_tess_model
 from .tessellation import (cell_statistics, delaunay, face_model, save_tess,
                            voronoi)
-from .variance import (DEFAULT_N_WINDOWS, MODE_FRACTION, classify,
-                       default_radii, fit_scaling, fraction_variance_curve,
-                       number_variance_curve)
+from .variance import classify, default_radii, fit_scaling, variance_curve
 
 _PNM_MAGICS = (b"P1", b"P2", b"P4", b"P5")
 
@@ -222,9 +218,12 @@ def cmd_generate(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------- variance
+# ---------------------------------------------------- variance and field
 
-def _add_sweep_flags(p):
+def _add_sweep(sub, common, name, summary, description, input_help):
+    p = sub.add_parser(name, parents=[common], help=summary,
+                       description=description)
+    p.add_argument("input", help=input_help)
     p.add_argument("--radii", default=None,
                    help="comma-separated window radii (default: auto sweep)")
     p.add_argument("--windows", type=_positive_int, default=None,
@@ -233,22 +232,11 @@ def _add_sweep_flags(p):
                    help="smallest radius used in the scaling fit")
     p.add_argument("--fit-max", type=float, default=None,
                    help="largest radius used in the scaling fit")
-
-
-def _add_variance(sub, common):
-    p = sub.add_parser(
-        "variance", parents=[common],
-        help="window-variance curve, scaling fit, and classification",
-        description="Measure variance scaling for a pattern or raster "
-                    "image; writes <out>.csv and <out>.json.",
-    )
-    p.add_argument("input", help="pattern file or PBM/PGM image")
-    _add_sweep_flags(p)
     p.add_argument("--threshold", type=int, default=None,
                    help="grayscale images: values <= threshold are dark")
     p.add_argument("--pixel-size", type=float, default=None,
                    help="images: model length of one pixel edge (default 1)")
-    p.set_defaults(handler=cmd_variance, default_out="variance")
+    p.set_defaults(handler=cmd_sweep, default_out=name)
 
 
 def _fit_range(args):
@@ -259,73 +247,54 @@ def _fit_range(args):
     return (lo, hi)
 
 
-def _run_sweep(args, subject, is_field: bool):
-    threads = _resolve_threads(args)
-    if args.radii is not None:
-        radii = np.asarray(_parse_radii(args.radii))
-    elif is_field:
-        radii = subject.default_radii()
-    else:
-        radii = default_radii(subject)
-    if is_field:
-        n_windows = args.windows if args.windows else DEFAULT_N_WINDOWS[2]
-        curve = fraction_variance_curve(subject, radii=radii,
-                                        n_windows=n_windows, seed=args.seed,
-                                        workers=threads)
-        if not np.any(curve.variance > 0):
-            raise HupaError("degenerate field: zero variance at all radii")
-        dim = 2
-    else:
-        dim = subject.box.dim
-        n_windows = args.windows if args.windows else DEFAULT_N_WINDOWS[dim]
-        curve = number_variance_curve(subject, radii=radii,
-                                      n_windows=n_windows, seed=args.seed,
-                                      workers=threads)
-    fit = fit_scaling(curve, fit_range=_fit_range(args))
-    order = classify(fit, dim, mode=curve.mode)
-    return curve, fit, order, radii, n_windows
-
-
-def _sweep_params(args, radii, n_windows) -> dict:
-    # thread count is deliberately absent: like wall-clock time it is an
-    # execution detail that cannot change results, and including it would
-    # break byte-identity of reports across --threads
-    return {
-        "input": args.input,
-        "radii": args.radii if args.radii is not None else "auto",
-        "radii_resolved": [float(r) for r in radii],
-        "windows": int(n_windows),
-        "fit_min": args.fit_min,
-        "fit_max": args.fit_max,
-        "seed": args.seed,
-        "out": args.out if args.out else args.default_out,
-        "out_dir": args.out_dir,
-    }
-
-
-def cmd_variance(args) -> int:
-    base = _resolve_out(args, args.default_out)
-    kind = _sniff(args.input)
+def cmd_sweep(args) -> int:
+    """variance and field: one window-variance run, written as <out>.csv
+    and <out>.json.  field accepts only images; variance takes a pattern
+    or an image."""
+    image = _sniff(args.input) == "image"
+    if args.command == "field" and not image:
+        raise _Usage("field requires a PBM/PGM image input")
     field = None
-    if kind == "image":
+    if image:
         subject = field = _load_input_field(args)
     else:
         if args.threshold is not None or args.pixel_size is not None:
             raise _Usage("--threshold/--pixel-size only apply to image input")
         subject = load_pattern(args.input)
-    curve, fit, order, radii, n_windows = _run_sweep(
-        args, subject, is_field=field is not None)
+    threads = _resolve_threads(args)
+    # the same sweep variance_curve would choose, resolved here so that a
+    # trace of hupa.cli.default_radii times it (perfbench/layers.py)
+    radii = (_parse_radii(args.radii) if args.radii is not None
+             else default_radii(subject))
+    curve = variance_curve(subject, radii=radii, n_windows=args.windows,
+                           seed=args.seed, workers=threads)
+    fit = fit_scaling(curve, fit_range=_fit_range(args))
+    order = classify(fit, curve.dim, mode=curve.mode)
+    base = _resolve_out(args, args.default_out)
     csv_path = base + ".csv"
     _write_text(csv_path, curve.to_csv())
-    params = _sweep_params(args, radii, n_windows)
-    params["threshold"] = args.threshold
-    params["pixel_size"] = args.pixel_size
+    # thread count is deliberately absent: like wall-clock time it is an
+    # execution detail that cannot change results, and including it would
+    # break byte-identity of reports across --threads
+    params = {
+        "input": args.input,
+        "radii": args.radii if args.radii is not None else "auto",
+        "radii_resolved": [float(r) for r in curve.radii],
+        "windows": int(curve.n_windows),
+        "fit_min": args.fit_min,
+        "fit_max": args.fit_max,
+        "seed": args.seed,
+        "out": args.out if args.out else args.default_out,
+        "out_dir": args.out_dir,
+        "threshold": args.threshold,
+        "pixel_size": args.pixel_size,
+    }
     notes = []
     if field is not None and not field.periodic_asserted:
         notes.append("input image carries no periodicity assertion; "
                      "contents treated as periodic")
     report = build_report(
-        "variance", params, {"windows": args.seed},
+        args.command, params, {"windows": args.seed},
         inputs=[args.input], outputs=[csv_path],
         curve=curve, fit=fit, order=order, field=field, notes=notes,
     )
@@ -393,52 +362,6 @@ def cmd_tessellate(args) -> int:
     return 0
 
 
-# ------------------------------------------------------------------- field
-
-def _add_field(sub, common):
-    p = sub.add_parser(
-        "field", parents=[common],
-        help="dark-fraction variance analysis of a PBM/PGM image",
-        description="Run the dark-fraction variance pipeline on a binary "
-                    "or gray raster; writes <out>.csv and <out>.json.",
-    )
-    p.add_argument("input", help="PBM (P1/P4) or PGM (P2/P5) image")
-    _add_sweep_flags(p)
-    p.add_argument("--threshold", type=int, default=None,
-                   help="grayscale images: values <= threshold are dark")
-    p.add_argument("--pixel-size", type=float, default=None,
-                   help="model length of one pixel edge (default 1)")
-    p.set_defaults(handler=cmd_field, default_out="field")
-
-
-def cmd_field(args) -> int:
-    if _sniff(args.input) != "image":
-        raise _Usage("field requires a PBM/PGM image input")
-    base = _resolve_out(args, args.default_out)
-    field = _load_input_field(args)
-    curve, fit, order, radii, n_windows = _run_sweep(
-        args, field, is_field=True)
-    csv_path = base + ".csv"
-    _write_text(csv_path, curve.to_csv())
-    params = _sweep_params(args, radii, n_windows)
-    params["threshold"] = args.threshold
-    params["pixel_size"] = args.pixel_size
-    notes = []
-    if not field.periodic_asserted:
-        notes.append("input image carries no periodicity assertion; "
-                     "contents treated as periodic")
-    report = build_report(
-        "field", params, {"windows": args.seed},
-        inputs=[args.input], outputs=[csv_path],
-        curve=curve, fit=fit, order=order, field=field, notes=notes,
-    )
-    json_path = base + ".json"
-    write_report(report, json_path)
-    print(csv_path)
-    print(json_path)
-    return 0
-
-
 # ------------------------------------------------------------------ render
 
 def _add_render(sub, common):
@@ -488,9 +411,19 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     _add_generate(sub, common)
-    _add_variance(sub, common)
+    _add_sweep(sub, common, "variance",
+               summary="window-variance curve, scaling fit, and "
+                       "classification",
+               description="Measure variance scaling for a pattern or raster "
+                           "image; writes <out>.csv and <out>.json.",
+               input_help="pattern file or PBM/PGM image")
     _add_tessellate(sub, common)
-    _add_field(sub, common)
+    _add_sweep(sub, common, "field",
+               summary="dark-fraction variance analysis of a PBM/PGM image",
+               description="Run the dark-fraction variance pipeline on a "
+                           "binary or gray raster; writes <out>.csv and "
+                           "<out>.json.",
+               input_help="PBM (P1/P4) or PGM (P2/P5) image")
     _add_render(sub, common)
     return parser
 

@@ -17,12 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, FieldFormatError
+from .errors import FieldFormatError
 from .pattern import BoxDomain
-from .variance import (DEFAULT_N_RADII, DEFAULT_R_MAX_FACTOR, MEMBERSHIP_TOL,
-                       check_window_radius, radius_sweep)
+from .variance import (MEMBERSHIP_TOL, check_centers, check_window_radius,
+                       check_workers)
 
-DEFAULT_R_MIN_PIXELS = 4.0
 # Windows x visited rows per chunk of the window engine (~1 MiB per
 # temporary array).
 _CHUNK_ELEMENTS = 1 << 17
@@ -79,19 +78,6 @@ class BinaryField:
     def dark_fraction(self) -> float:
         return float(self.bits.sum()) / self.bits.size
 
-    def default_radii(self, n_radii: int = DEFAULT_N_RADII) -> np.ndarray:
-        """Log-spaced sweep from a few pixels up to a quarter box edge.
-        Below ~4 pixel edges a window holds too few centers to carry a
-        meaningful fraction."""
-        r_min = DEFAULT_R_MIN_PIXELS * self.pixel_size
-        r_max = DEFAULT_R_MAX_FACTOR * self.box.min_length
-        if r_min >= r_max:
-            raise DegenerateInputError(
-                f"default sweep collapsed: 4 pixel edges {r_min:g} reaches "
-                f"the window limit {r_max:g}; pass radii explicitly"
-            )
-        return radius_sweep(r_min, r_max, n_radii)
-
     def window_dark_fractions(self, centers, radius: float,
                               workers: int = 1) -> np.ndarray:
         """Dark fraction among pixel centers within periodic distance
@@ -105,12 +91,13 @@ class BinaryField:
         small to contain any pixel center reports 0.
 
         Windows are evaluated in chunks of about 2**17 window rows, so
-        temporaries stay bounded for any raster.  With ``workers`` > 1 the
-        chunks run on that many threads; every count is an exact integer,
-        so the values never depend on ``workers``.
+        temporaries stay bounded for any raster.  ``workers`` is an integer
+        >= 1; above 1 the chunks run on that many threads.  Every count is
+        an exact integer, so the values never depend on ``workers``.
         """
         radius = check_window_radius(self.box, radius) + MEMBERSHIP_TOL
-        centers = np.atleast_2d(np.asarray(centers, dtype=float))
+        centers = check_centers(self.box, centers)
+        workers = check_workers(workers)
         out = np.empty(len(centers))
         band = min(math.ceil(2.0 * radius / self.pixel_size) + 3,
                    self.bits.shape[0])
@@ -163,11 +150,6 @@ class BinaryField:
         total = n_states.sum(axis=1)
         dark_total = dark.sum(axis=1)
         return np.where(total > 0, dark_total / np.maximum(total, 1), 0.0)
-
-    def dark_fraction_in_window(self, center, radius: float) -> float:
-        """Dark fraction inside one window."""
-        return float(self.window_dark_fractions(
-            np.asarray(center, dtype=float), radius)[0])
 
 
 def rasterize_tessellation(tess, pixels_per_axis: int,

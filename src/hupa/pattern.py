@@ -16,7 +16,8 @@ Pattern file format (text, UTF-8, LF newlines)::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -52,10 +53,6 @@ class BoxDomain:
     @property
     def dim(self) -> int:
         return len(self.lengths)
-
-    @property
-    def periodic(self) -> bool:
-        return True
 
     @property
     def volume(self) -> float:
@@ -113,7 +110,6 @@ class PointPattern:
     points: np.ndarray
     hard_radius: float | None = None
     provenance: str = ""
-    _skip_checks: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -130,8 +126,6 @@ class PointPattern:
             object.__setattr__(self, "hard_radius", float(self.hard_radius))
             if self.hard_radius < 0:
                 raise ValueError("hard_radius must be nonnegative")
-        if self._skip_checks:
-            return
         L = self.box.lengths_array()
         if pts.size and (np.any(pts < 0) or np.any(pts >= L) or not np.isfinite(pts).all()):
             raise ValueError("coordinates must lie in [0, length) per axis")
@@ -142,8 +136,7 @@ class PointPattern:
         r = self.hard_radius
         if len(self.points) < 2 or r == 0:
             return
-        tree = cKDTree(self.points, boxsize=self.box.lengths)
-        for i, j in sorted(tree.query_pairs(2.0 * r)):
+        for i, j in sorted(self.tree.query_pairs(2.0 * r)):
             d = periodic_distance(self.points[i], self.points[j], self.box)
             if d < 2.0 * r - _HARD_CORE_TOL:
                 raise ValueError(
@@ -153,6 +146,13 @@ class PointPattern:
 
     def __len__(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def tree(self) -> cKDTree:
+        """Periodic KD-tree over the points, built on first use and shared
+        by window counting, nearest-neighbor distances and the hard-core
+        check."""
+        return cKDTree(self.points, boxsize=self.box.lengths)
 
     @property
     def dim(self) -> int:
@@ -166,8 +166,7 @@ class PointPattern:
         """Mean over points of the periodic distance to the nearest other point."""
         if len(self.points) < 2:
             raise ValueError("need at least 2 points")
-        tree = cKDTree(self.points, boxsize=self.box.lengths)
-        d, _ = tree.query(self.points, k=2)
+        d, _ = self.tree.query(self.points, k=2)
         return float(d[:, 1].mean())
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.spatial import ConvexHull, cKDTree
+from scipy.spatial import ConvexHull
 
 from .errors import (DegenerateInputError, PatternFormatError,
                      TessellationError)
@@ -404,10 +404,9 @@ def circumcircle_violations(tri: Triangulation,
     """Number of (triangle, point) pairs where the point sits inside the
     triangle's circumdisk by more than rel_tol of the circumradius."""
     pattern = tri.pattern
-    tree = cKDTree(pattern.points, boxsize=pattern.box.lengths_array())
     centers = wrap_point(tri.circumcenters, pattern.box)
     radii = tri.circumradii * (1.0 - rel_tol)
-    hits = tree.query_ball_point(centers, radii)
+    hits = pattern.tree.query_ball_point(centers, radii)
     violations = 0
     for t, inside in enumerate(hits):
         member = {b for b, _ in tri.triangles[t]}

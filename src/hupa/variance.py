@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import CannotFitError, DegenerateInputError, WindowTooLargeError
 from .pattern import BoxDomain, PointPattern
@@ -30,6 +29,7 @@ DEFAULT_N_WINDOWS = {2: 10_000, 3: 4_000}
 DEFAULT_N_RADII = 16
 DEFAULT_R_MAX_FACTOR = 0.25
 DEFAULT_R_MIN_SPACINGS = 2.0
+DEFAULT_R_MIN_PIXELS = 4.0
 
 NON_HYPERUNIFORM = "non_hyperuniform"
 HYPERUNIFORM = "hyperuniform"
@@ -49,6 +49,27 @@ def check_window_radius(box: BoxDomain, radius: float) -> float:
     if not 0.0 < radius < limit:
         raise WindowTooLargeError(radius, limit)
     return radius
+
+
+def check_centers(box: BoxDomain, centers) -> np.ndarray:
+    """Window centers as an (n, dim) float array; ValueError unless every
+    coordinate is finite and there is one column per box axis."""
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    if centers.ndim != 2 or centers.shape[1] != box.dim:
+        raise ValueError(
+            f"centers must have shape (n, {box.dim}), got {centers.shape}"
+        )
+    if not np.isfinite(centers).all():
+        raise ValueError("window centers must be finite")
+    return centers
+
+
+def check_workers(workers) -> int:
+    """Thread count of a window engine: an integer >= 1, else ValueError."""
+    if (isinstance(workers, bool)
+            or not isinstance(workers, (int, np.integer)) or workers < 1):
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    return int(workers)
 
 
 def random_centers(box: BoxDomain, n: int, seed: int) -> np.ndarray:
@@ -80,19 +101,14 @@ def window_counts(pattern: PointPattern, radius: float, centers: np.ndarray,
     any thread count.
     """
     radius = check_window_radius(pattern.box, radius)
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    centers = check_centers(pattern.box, centers)
+    workers = check_workers(workers)
     if len(pattern) == 0:
         return np.zeros(len(centers), dtype=np.int64)
-    tree = cKDTree(pattern.points, boxsize=pattern.box.lengths_array())
-    counts = tree.query_ball_point(
+    counts = pattern.tree.query_ball_point(
         centers, radius + MEMBERSHIP_TOL, workers=workers, return_length=True
     )
     return np.asarray(counts, dtype=np.int64)
-
-
-def count_in_window(pattern: PointPattern, center, radius: float) -> int:
-    """Count points within periodic distance radius of one center."""
-    return int(window_counts(pattern, radius, np.asarray(center, dtype=float))[0])
 
 
 @dataclass(frozen=True)
@@ -174,74 +190,65 @@ def radius_sweep(r_min: float, r_max: float, n_radii: int) -> np.ndarray:
     return np.exp(np.linspace(np.log(r_min), np.log(r_max), n_radii))
 
 
-def default_radii(pattern: PointPattern, n_radii: int = DEFAULT_N_RADII) -> np.ndarray:
-    """Log-spaced sweep from twice the mean nearest-neighbor spacing (below
-    that, counts are mostly 0/1) up to a quarter of the shortest box edge
-    (above that, periodic self-overlap artifacts set in)."""
-    if len(pattern) < 2:
-        raise DegenerateInputError(
-            "need at least 2 points to choose a default radius sweep"
-        )
-    r_min = DEFAULT_R_MIN_SPACINGS * pattern.mean_nearest_neighbor_distance()
-    r_max = DEFAULT_R_MAX_FACTOR * pattern.box.min_length
+def _subject_kind(subject):
+    """The one place that tells a point pattern from a binary field.
+
+    Returns the curve mode, the window statistic as
+    ``statistic(centers, radius, workers)``, and a function giving the
+    smallest radius of the default sweep with its name for messages.
+    Point patterns count points (below two mean spacings counts are
+    mostly 0/1); fields take dark fractions (below a few pixel edges a
+    window holds too few pixel centers to carry a meaningful fraction).
+    """
+    if isinstance(subject, PointPattern):
+        def r_min():
+            if len(subject) < 2:
+                raise DegenerateInputError(
+                    "need at least 2 points to choose a default radius sweep"
+                )
+            spacing = subject.mean_nearest_neighbor_distance()
+            return DEFAULT_R_MIN_SPACINGS * spacing, "2x mean spacing"
+        return (MODE_NUMBER,
+                lambda c, r, w: window_counts(subject, r, c, workers=w), r_min)
+    return (MODE_FRACTION, subject.window_dark_fractions,
+            lambda: (DEFAULT_R_MIN_PIXELS * subject.pixel_size,
+                     "4 pixel edges"))
+
+
+def default_radii(subject, n_radii: int = DEFAULT_N_RADII) -> np.ndarray:
+    """Log-spaced sweep for a point pattern or a binary field, from the
+    smallest radius _subject_kind gives up to a quarter of the shortest box
+    edge (above that, periodic self-overlap artifacts set in)."""
+    r_min, what = _subject_kind(subject)[2]()
+    r_max = DEFAULT_R_MAX_FACTOR * subject.box.min_length
     if r_min >= r_max:
         raise DegenerateInputError(
-            f"default sweep collapsed: 2x mean spacing {r_min:g} reaches the "
+            f"default sweep collapsed: {what} {r_min:g} reaches the "
             f"window limit {r_max:g}; pass radii explicitly"
         )
     return radius_sweep(r_min, r_max, n_radii)
 
 
-def number_variance_curve(pattern: PointPattern, radii=None,
-                          n_windows: int | None = None, seed: int = 0,
-                          workers: int = 1,
-                          centers: np.ndarray | None = None) -> VarianceCurve:
-    """Count-variance curve over a radius sweep.
+def variance_curve(subject, radii=None, n_windows: int | None = None,
+                   seed: int = 0, workers: int = 1,
+                   centers: np.ndarray | None = None) -> VarianceCurve:
+    """Window-variance curve of a point pattern (number_count mode) or a
+    binary field (dark_fraction mode) over a radius sweep.
 
-    Window centers are drawn once and reused for every radius: common
-    random numbers make the curve smoother and cross-radius ratios less
-    noisy than independent draws would.  Pass explicit ``centers`` (e.g. an
-    exhaustive grid) to bypass random placement.
+    ``radii`` defaults to default_radii(subject) and ``n_windows`` to
+    DEFAULT_N_WINDOWS for the box dimension.  Window centers are drawn once
+    and reused for every radius: common random numbers make the curve
+    smoother and cross-radius ratios less noisy than independent draws
+    would.  Pass explicit ``centers`` (e.g. an exhaustive grid) to bypass
+    random placement.  An empty pattern, or a field whose windows show
+    zero variance at every radius, raises DegenerateInputError.
     """
-    if len(pattern) == 0:
+    mode, statistic, _ = _subject_kind(subject)
+    box = subject.box
+    if mode == MODE_NUMBER and len(subject) == 0:
         raise DegenerateInputError("cannot measure variance of an empty pattern")
     if radii is None:
-        radii = default_radii(pattern)
-    radii = np.asarray(radii, dtype=float)
-    if radii.ndim != 1 or len(radii) == 0:
-        raise ValueError("radii must be a nonempty 1D array")
-    for r in radii:
-        check_window_radius(pattern.box, r)
-    if centers is None:
-        if n_windows is None:
-            n_windows = DEFAULT_N_WINDOWS[pattern.dim]
-        if n_windows < 2:
-            raise ValueError("n_windows must be >= 2")
-        centers = random_centers(pattern.box, int(n_windows), seed)
-    else:
-        centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    means = np.empty(len(radii))
-    variances = np.empty(len(radii))
-    for i, r in enumerate(radii):
-        counts = window_counts(pattern, r, centers, workers=workers)
-        means[i] = counts.mean()
-        variances[i] = counts.var(ddof=1)
-    return VarianceCurve(radii=radii, mean=means, variance=variances,
-                         n_windows=len(centers), mode=MODE_NUMBER,
-                         dim=pattern.dim, source=pattern.provenance)
-
-
-def fraction_variance_curve(field, radii=None, n_windows: int | None = None,
-                            seed: int = 0, workers: int = 1,
-                            centers: np.ndarray | None = None) -> VarianceCurve:
-    """Dark-fraction variance curve for a binary raster field.
-
-    Same sampling scheme as number_variance_curve; the window statistic is
-    the fraction of in-window pixels that are dark.
-    """
-    box = field.box
-    if radii is None:
-        radii = field.default_radii()
+        radii = default_radii(subject)
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or len(radii) == 0:
         raise ValueError("radii must be a nonempty 1D array")
@@ -254,16 +261,18 @@ def fraction_variance_curve(field, radii=None, n_windows: int | None = None,
             raise ValueError("n_windows must be >= 2")
         centers = random_centers(box, int(n_windows), seed)
     else:
-        centers = np.atleast_2d(np.asarray(centers, dtype=float))
+        centers = check_centers(box, centers)
     means = np.empty(len(radii))
     variances = np.empty(len(radii))
     for i, r in enumerate(radii):
-        fracs = field.window_dark_fractions(centers, r, workers=workers)
-        means[i] = fracs.mean()
-        variances[i] = fracs.var(ddof=1)
+        values = statistic(centers, r, workers)
+        means[i] = values.mean()
+        variances[i] = values.var(ddof=1)
+    if mode == MODE_FRACTION and not np.any(variances > 0):
+        raise DegenerateInputError("degenerate field: zero variance at all radii")
     return VarianceCurve(radii=radii, mean=means, variance=variances,
-                         n_windows=len(centers), mode=MODE_FRACTION,
-                         dim=box.dim, source=field.provenance)
+                         n_windows=len(centers), mode=mode, dim=box.dim,
+                         source=subject.provenance)
 
 
 def fit_scaling(curve: VarianceCurve,
@@ -347,14 +356,8 @@ def analyze(pattern_or_field, radii=None, n_windows: int | None = None,
             fit_range: tuple[float, float] | None = None
             ) -> tuple[VarianceCurve, ScalingFit, OrderClass]:
     """End-to-end pipeline: curve, then fit, then classification."""
-    if isinstance(pattern_or_field, PointPattern):
-        curve = number_variance_curve(pattern_or_field, radii=radii,
-                                      n_windows=n_windows, seed=seed,
-                                      workers=workers)
-    else:
-        curve = fraction_variance_curve(pattern_or_field, radii=radii,
-                                        n_windows=n_windows, seed=seed,
-                                        workers=workers)
+    curve = variance_curve(pattern_or_field, radii=radii, n_windows=n_windows,
+                           seed=seed, workers=workers)
     fit = fit_scaling(curve, fit_range=fit_range)
     order = classify(fit, curve.dim, curve.mode)
     return curve, fit, order

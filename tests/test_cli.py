@@ -322,6 +322,23 @@ class TestField:
         assert code == 1
         assert "degenerate field: zero variance at all radii" in stderr
 
+    def test_variance_on_image_matches_field(self, capsys, tmp_path):
+        rng = np.random.default_rng(24)
+        img = self.make_image(tmp_path, rng.random((64, 64)) < 0.4,
+                              periodic=False)
+        base = str(tmp_path / "same")
+        outputs = {}
+        for command in ("variance", "field"):
+            code, _, _ = run(capsys, command, img, "--radii", "4,8,12",
+                             "--windows", "2000", "--seed", "5", "-o", base)
+            assert code == 0
+            outputs[command] = (open(base + ".csv", "rb").read(),
+                                json.load(open(base + ".json")))
+        assert outputs["variance"][0] == outputs["field"][0]
+        reports = [outputs[c][1] for c in ("variance", "field")]
+        assert [r.pop("command") for r in reports] == ["variance", "field"]
+        assert reports[0] == reports[1]
+
     def test_grayscale_needs_threshold(self, capsys, tmp_path):
         img = tmp_path / "g.pgm"
         img.write_text("P2\n16 16\n255\n" + " ".join(["7"] * 256) + "\n")

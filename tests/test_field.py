@@ -12,6 +12,7 @@ from hupa.field import (_CHUNK_ELEMENTS, BinaryField, load_field,
 from hupa.generators import GeneratorSpec, generate
 from hupa.pattern import BoxDomain, PointPattern
 from hupa.tessellation import voronoi
+from hupa.variance import default_radii
 from oracles import dark_fraction_window_brute, pixels_near_segments_brute
 
 
@@ -118,7 +119,7 @@ class TestWindowFractions:
         f = random_field(rng, 16, (8.0, 8.0))
         c = (3.0, 2.0)
         batch = f.window_dark_fractions(np.array([c]), 1.5)[0]
-        assert f.dark_fraction_in_window(c, 1.5) == batch
+        assert f.window_dark_fractions([c], 1.5)[0] == batch
 
     def test_workers_do_not_change_values(self):
         rng = np.random.default_rng(13)
@@ -176,7 +177,7 @@ class TestWindowFractions:
         f = make_field(bits, (16.0, 16.0))
         h = f.pixel_size
         for r in (2.0, 4.0, 7.0):
-            frac = f.dark_fraction_in_window((8.0, 5.0), r)
+            frac = f.window_dark_fractions([(8.0, 5.0)], r)[0]
             assert abs(frac - 0.5) <= 2.0 * h / r
 
     def test_mean_window_fraction_near_global(self):
@@ -259,7 +260,7 @@ class TestRasterize:
 class TestDefaultRadii:
     def test_bounds_and_monotonicity(self):
         f = make_field(np.zeros((256, 256), dtype=bool), (64.0, 64.0))
-        radii = f.default_radii()
+        radii = default_radii(f)
         assert len(radii) == 16
         assert math.isclose(radii[0], 4.0 * f.pixel_size, rel_tol=1e-12)
         assert math.isclose(radii[-1], 16.0, rel_tol=1e-12)
@@ -268,7 +269,7 @@ class TestDefaultRadii:
     def test_collapsed_sweep_rejected(self):
         f = make_field(np.zeros((8, 8), dtype=bool), (8.0, 8.0))
         with pytest.raises(DegenerateInputError):
-            f.default_radii()
+            default_radii(f)
 
 
 class TestFieldIO:

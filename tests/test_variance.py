@@ -5,10 +5,9 @@ import pytest
 
 from hupa import (BinaryField, BoxDomain, CannotFitError, DegenerateInputError,
                   PointPattern, VarianceCurve, WindowTooLargeError, analyze,
-                  classify, count_in_window, fit_scaling, generate_lattice,
+                  classify, default_radii, fit_scaling, generate_lattice,
                   generate_perturbed_lattice, generate_poisson, grid_centers,
-                  number_variance_curve, radius_sweep, random_centers,
-                  window_counts)
+                  radius_sweep, random_centers, variance_curve, window_counts)
 from hupa.variance import MODE_FRACTION, MODE_NUMBER, ScalingFit
 from oracles import count_in_window_brute, variance_unbiased
 
@@ -25,39 +24,39 @@ class TestCountInWindow:
     def test_empty_pattern(self):
         box = BoxDomain(lengths=(10.0, 10.0))
         p = PointPattern(box=box, points=np.empty((0, 2)))
-        assert count_in_window(p, (5.0, 5.0), 2.0) == 0
+        assert window_counts(p, 2.0, [(5.0, 5.0)])[0] == 0
 
     def test_square_lattice_center_on_site(self):
         box = BoxDomain(lengths=(16.0, 16.0))
         p = generate_lattice(box, "square", 1.0)
         site = p.points[17]
-        assert count_in_window(p, site, 1.05) == 5
+        assert window_counts(p, 1.05, [site])[0] == 5
 
     def test_single_point_tiny_radius(self):
         box = BoxDomain(lengths=(4.0, 4.0))
         p = PointPattern(box=box, points=np.array([[1.0, 1.0]]))
-        assert count_in_window(p, (1.0, 1.0), 1e-6) == 1
+        assert window_counts(p, 1e-6, [(1.0, 1.0)])[0] == 1
 
     def test_boundary_distance_counts(self):
         box = BoxDomain(lengths=(10.0, 10.0))
         p = PointPattern(box=box, points=np.array([[3.0, 1.0]]))
-        assert count_in_window(p, (1.0, 1.0), 2.0) == 1
+        assert window_counts(p, 2.0, [(1.0, 1.0)])[0] == 1
 
     def test_radius_limit_enforced(self):
         box = BoxDomain(lengths=(10.0, 12.0))
         p = PointPattern(box=box, points=np.array([[1.0, 1.0]]))
         with pytest.raises(WindowTooLargeError):
-            count_in_window(p, (0.0, 0.0), 5.0)
+            window_counts(p, 5.0, [(0.0, 0.0)])
         with pytest.raises(WindowTooLargeError):
-            count_in_window(p, (0.0, 0.0), -1.0)
-        assert count_in_window(p, (0.0, 0.0), 4.999) >= 0
+            window_counts(p, -1.0, [(0.0, 0.0)])
+        assert window_counts(p, 4.999, [(0.0, 0.0)])[0] >= 0
 
     def test_matches_bruteforce(self, small_pattern):
         rng = np.random.default_rng(13)
         for _ in range(25):
             center = rng.uniform(0, 10, size=2)
             radius = rng.uniform(0.3, 4.9)
-            fast = count_in_window(small_pattern, center, radius)
+            fast = window_counts(small_pattern, radius, [center])[0]
             slow = count_in_window_brute(small_pattern.points,
                                          small_pattern.box.lengths,
                                          center, radius)
@@ -66,7 +65,7 @@ class TestCountInWindow:
     def test_wraparound_counting(self):
         box = BoxDomain(lengths=(10.0, 10.0))
         p = PointPattern(box=box, points=np.array([[9.8, 5.0]]))
-        assert count_in_window(p, (0.4, 5.0), 0.7) == 1
+        assert window_counts(p, 0.7, [(0.4, 5.0)])[0] == 1
 
 
 class TestWindowCountsBatch:
@@ -76,7 +75,33 @@ class TestWindowCountsBatch:
         four = window_counts(poisson32, 3.0, centers, workers=4)
         assert np.array_equal(one, four)
         for c, n in zip(centers, one):
-            assert count_in_window(poisson32, c, 3.0) == n
+            assert window_counts(poisson32, 3.0, [c])[0] == n
+
+    @staticmethod
+    def _window_fns():
+        box = BoxDomain(lengths=(8.0, 8.0))
+        p = PointPattern(box=box, points=np.array([[1.0, 1.0], [4.0, 5.0]]))
+        f = BinaryField(box=box, bits=np.eye(8, dtype=bool))
+        return {
+            "window_counts": lambda c, w: window_counts(p, 2.0, c, workers=w),
+            "window_dark_fractions":
+                lambda c, w: f.window_dark_fractions(c, 2.0, workers=w),
+        }
+
+    @pytest.mark.parametrize("fn", ["window_counts", "window_dark_fractions"])
+    @pytest.mark.parametrize("centers", [
+        [[np.nan, 1.0]], [[1.0, np.inf]], [[1.0, -np.inf]],
+        [[1.0, 2.0, 3.0]],
+    ])
+    def test_bad_centers_rejected(self, fn, centers):
+        with pytest.raises(ValueError):
+            self._window_fns()[fn](centers, 1)
+
+    @pytest.mark.parametrize("fn", ["window_counts", "window_dark_fractions"])
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, fn, workers):
+        with pytest.raises(ValueError, match="workers"):
+            self._window_fns()[fn]([[1.0, 1.0]], workers)
 
     def test_grid_centers_shape(self):
         box = BoxDomain(lengths=(8.0, 4.0))
@@ -105,10 +130,9 @@ class TestVarianceCurve:
 
     def test_reuses_centers_across_radii(self, poisson32):
         # same seed, single-radius runs must match the joint run exactly
-        joint = number_variance_curve(poisson32, radii=[2.0, 4.0],
-                                      n_windows=400, seed=5)
-        lone = number_variance_curve(poisson32, radii=[2.0],
-                                     n_windows=400, seed=5)
+        joint = variance_curve(poisson32, radii=[2.0, 4.0], n_windows=400,
+                               seed=5)
+        lone = variance_curve(poisson32, radii=[2.0], n_windows=400, seed=5)
         assert joint.variance[0] == lone.variance[0]
         assert joint.mean[0] == lone.mean[0]
 
@@ -116,11 +140,32 @@ class TestVarianceCurve:
         box = BoxDomain(lengths=(10.0, 10.0))
         p = PointPattern(box=box, points=np.empty((0, 2)))
         with pytest.raises(DegenerateInputError):
-            number_variance_curve(p, radii=[1.0, 2.0], n_windows=10, seed=0)
+            variance_curve(p, radii=[1.0, 2.0], n_windows=10, seed=0)
+
+    def test_one_kdtree_per_pattern(self, monkeypatch):
+        import hupa.pattern
+
+        built = []
+
+        class CountingTree(hupa.pattern.cKDTree):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        box = BoxDomain(lengths=(32.0, 32.0))
+        explicit = generate_poisson(box, 1.0, seed=9)
+        auto = generate_poisson(box, 1.0, seed=10)
+        monkeypatch.setattr(hupa.pattern, "cKDTree", CountingTree)
+        variance_curve(explicit, radii=[1.0, 2.0, 3.0, 4.0], n_windows=200)
+        assert len(built) == 1
+        # the default sweep's nearest-neighbor distances share the tree
+        curve = variance_curve(auto, n_windows=200)
+        assert len(curve.radii) == 16
+        assert len(built) == 2
 
     def test_variance_matches_handwritten(self, small_pattern):
-        curve = number_variance_curve(small_pattern, radii=[1.5, 2.5],
-                                      n_windows=64, seed=8)
+        curve = variance_curve(small_pattern, radii=[1.5, 2.5], n_windows=64,
+                               seed=8)
         centers = random_centers(small_pattern.box, 64, seed=8)
         for k, radius in enumerate((1.5, 2.5)):
             counts = [count_in_window_brute(small_pattern.points,
@@ -138,8 +183,7 @@ class TestVarianceCurve:
         box = BoxDomain(lengths=(64.0, 64.0))
         p = generate_poisson(box, 1.0, seed=18)
         radii = [1.0, 2.0, 4.0, 8.0]
-        curve = number_variance_curve(p, radii=radii, n_windows=20000,
-                                      seed=18)
+        curve = variance_curve(p, radii=radii, n_windows=20000, seed=18)
         for k, radius in enumerate(radii):
             assert 0.85 <= curve.variance[k] / curve.mean[k] <= 1.15
             if radius >= 2.0:
@@ -153,7 +197,6 @@ class TestRadiusSweep:
         assert np.allclose(r, [1.0, 2.0, 4.0, 8.0, 16.0])
 
     def test_default_radii_bounds(self, poisson32):
-        from hupa.variance import default_radii
         r = default_radii(poisson32)
         assert len(r) == 16
         assert r[-1] <= 0.25 * 32.0 + 1e-12
@@ -287,6 +330,14 @@ class TestAnalyze:
         assert curve.mode == MODE_FRACTION
         assert order.mode == MODE_FRACTION
         assert fit.alpha < 0
+
+    def test_all_dark_field_is_degenerate(self):
+        f = BinaryField(box=BoxDomain(lengths=(32.0, 32.0)),
+                        bits=np.ones((32, 32), dtype=bool))
+        with pytest.raises(DegenerateInputError,
+                           match="degenerate field: zero variance at all "
+                                 "radii"):
+            analyze(f, radii=[2.0, 4.0, 8.0], n_windows=100)
 
     def test_determinism_across_workers(self, poisson32):
         a = analyze(poisson32, radii=[2.0, 4.0, 6.0], n_windows=500, seed=7,
