@@ -18,7 +18,7 @@ import time
 from . import __version__
 from .errors import HupaError, IncommensurateBoxError
 from .field import BinaryField, load_field
-from .generators import GENERATOR_KINDS, LATTICE_KINDS, GeneratorSpec, generate
+from .generators import GENERATOR_KINDS, GENERATORS, GeneratorSpec, generate
 from .pattern import BoxDomain, load_pattern, save_pattern
 from .report import build_report, write_report
 from .svg import DEFAULT_SCALE, render_pattern, render_tess_model
@@ -33,23 +33,23 @@ class _Usage(Exception):
     """Flag/argument validation failure -> exit 2."""
 
 
+def _min_int(lo: int):
+    """argparse type: an integer >= lo."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}")
+        return value
+    return parse
+
+
 def _u64(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if not 0 <= value < 2 ** 64:
+    value = _min_int(0)(text)
+    if value >= 2 ** 64:
         raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
     return value
 
 
@@ -79,44 +79,36 @@ def _parse_radii(text: str):
 
 
 def _resolve_out(args, default_name: str) -> str:
+    """Output path (or base path) for this run; makes its directory."""
     name = args.out if args.out else default_name
-    if os.path.isabs(name):
-        return name
-    return os.path.join(args.out_dir, name)
+    path = os.path.join(args.out_dir, name)  # an absolute name wins
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return path
 
 
 def _resolve_threads(args) -> int:
     if args.threads is not None:
         return args.threads
     env = os.environ.get("HUPA_THREADS", "")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise _Usage(f"HUPA_THREADS={env!r} is not an integer") from None
-        if n < 1:
-            raise _Usage("HUPA_THREADS must be >= 1")
-        return n
-    return 1
+    if not env:
+        return 1
+    try:
+        return _min_int(1)(env)
+    except argparse.ArgumentTypeError as exc:
+        raise _Usage(f"HUPA_THREADS: {exc}") from None
 
 
 def _write_text(path: str, text: str):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
-def _sniff(path: str) -> str:
+def _magic(path: str) -> bytes:
     with open(path, "rb") as fh:
-        head = fh.read(2)
-    if head in _PNM_MAGICS:
-        return "image"
-    return "pattern"  # let load_pattern produce the format error
+        return fh.read(2)
 
 
-def _load_input_field(args) -> BinaryField:
-    with open(args.input, "rb") as fh:
-        magic = fh.read(2)
+def _load_input_field(args, magic: bytes) -> BinaryField:
     if magic in (b"P2", b"P5") and args.threshold is None:
         raise _Usage("grayscale input requires --threshold")
     field = load_field(args.input, threshold=args.threshold)
@@ -133,6 +125,13 @@ def _load_input_field(args) -> BinaryField:
 
 # ---------------------------------------------------------------- generate
 
+def _generator_params():
+    """Each parameter in GENERATORS once, in table order, with its kinds."""
+    params = dict.fromkeys(p for gen in GENERATORS.values() for p in gen.params)
+    return [(p, [k for k, gen in GENERATORS.items() if p in gen.params])
+            for p in params]
+
+
 def _add_generate(sub, common):
     p = sub.add_parser(
         "generate", parents=[common],
@@ -143,76 +142,33 @@ def _add_generate(sub, common):
                    help="generator recipe")
     p.add_argument("--box", required=True,
                    help="box lengths, e.g. 64x64 or 20x20x20")
-    p.add_argument("--rho", type=float, default=None,
-                   help="poisson: expected points per unit volume")
-    p.add_argument("--kind", dest="lattice_kind", choices=LATTICE_KINDS,
-                   default=None, help="lattice: cell geometry")
-    p.add_argument("--spacing", type=float, default=None,
-                   help="lattice spacing a")
-    p.add_argument("--jitter", type=float, default=None,
-                   help="perturbed_lattice: uniform displacement half-width")
-    p.add_argument("--hard-radius", type=float, default=None,
-                   help="rsa_packing: hard-core radius")
-    p.add_argument("--count", type=int, default=None,
-                   help="rsa_packing: number of centers to place")
-    p.add_argument("--fraction", type=float, default=None,
-                   help="rsa_packing: target packing fraction")
-    p.add_argument("--max-attempts", type=int, default=10_000,
-                   help="rsa_packing: consecutive-rejection budget")
+    for param, kinds in _generator_params():
+        p.add_argument(param.flag, dest=param.name, type=param.type,
+                       choices=param.choices, default=None,
+                       help=f"{', '.join(kinds)}: {param.help}")
     p.set_defaults(handler=cmd_generate, default_out="pattern.txt")
-
-
-def _require(args, names):
-    for name in names:
-        if getattr(args, name) is None:
-            flag = "--" + name.replace("_", "-").replace("lattice-kind", "kind")
-            raise _Usage(f"{args.kind} requires {flag}")
-
-
-def _forbid(args, names):
-    for name in names:
-        if getattr(args, name) is not None:
-            flag = "--" + name.replace("_", "-").replace("lattice-kind", "kind")
-            raise _Usage(f"{flag} does not apply to {args.kind}")
 
 
 def cmd_generate(args) -> int:
     box = BoxDomain(lengths=_parse_box(args.box))
-    if args.kind == "poisson":
-        _require(args, ["rho"])
-        _forbid(args, ["lattice_kind", "spacing", "jitter", "hard_radius",
-                       "count", "fraction"])
-        params = {"intensity": args.rho}
-    elif args.kind == "lattice":
-        _require(args, ["spacing"])
-        _forbid(args, ["rho", "jitter", "hard_radius", "count", "fraction"])
-        lattice_kind = args.lattice_kind
-        if lattice_kind is None:
-            lattice_kind = "square" if box.dim == 2 else "cubic"
-        params = {"lattice_kind": lattice_kind, "spacing": args.spacing}
-    elif args.kind == "perturbed_lattice":
-        _require(args, ["spacing", "jitter"])
-        _forbid(args, ["rho", "lattice_kind", "hard_radius", "count",
-                       "fraction"])
-        params = {"spacing": args.spacing, "jitter": args.jitter}
-    else:
-        _require(args, ["hard_radius"])
-        _forbid(args, ["rho", "lattice_kind", "spacing", "jitter"])
-        if (args.count is None) == (args.fraction is None):
-            raise _Usage("rsa_packing requires exactly one of --count/--fraction")
-        params = {"hard_radius": args.hard_radius, "count": args.count,
-                  "fraction": args.fraction, "max_attempts": args.max_attempts}
+    own = GENERATORS[args.kind].params
+    for param in own:
+        if param.required and getattr(args, param.name) is None:
+            raise _Usage(f"{args.kind} requires {param.flag}")
+    for param, _ in _generator_params():
+        if param not in own and getattr(args, param.name) is not None:
+            raise _Usage(f"{param.flag} does not apply to {args.kind}")
+    # omitted flags are left out, so the library's defaults apply
+    params = {param.name: getattr(args, param.name) for param in own
+              if getattr(args, param.name) is not None}
     try:
         spec = GeneratorSpec(kind=args.kind, box=box, params=params,
                              seed=args.seed)
         pattern = generate(spec)
-    except IncommensurateBoxError as exc:
-        # bad spacing for the requested box is a flag problem
-        raise _Usage(str(exc)) from None
-    except (ValueError, TypeError) as exc:
+    except (IncommensurateBoxError, ValueError, TypeError) as exc:
+        # bad spacing for the requested box is a flag problem too
         raise _Usage(str(exc)) from None
     out = _resolve_out(args, args.default_out)
-    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     save_pattern(pattern, out)
     print(out)
     return 0
@@ -226,7 +182,7 @@ def _add_sweep(sub, common, name, summary, description, input_help):
     p.add_argument("input", help=input_help)
     p.add_argument("--radii", default=None,
                    help="comma-separated window radii (default: auto sweep)")
-    p.add_argument("--windows", type=_positive_int, default=None,
+    p.add_argument("--windows", type=_min_int(2), default=None,
                    help="window placements per radius")
     p.add_argument("--fit-min", type=float, default=None,
                    help="smallest radius used in the scaling fit")
@@ -251,13 +207,13 @@ def cmd_sweep(args) -> int:
     """variance and field: one window-variance run, written as <out>.csv
     and <out>.json.  field accepts only images; variance takes a pattern
     or an image."""
-    image = _sniff(args.input) == "image"
-    if args.command == "field" and not image:
+    magic = _magic(args.input)
+    if args.command == "field" and magic not in _PNM_MAGICS:
         raise _Usage("field requires a PBM/PGM image input")
     field = None
-    if image:
-        subject = field = _load_input_field(args)
-    else:
+    if magic in _PNM_MAGICS:
+        subject = field = _load_input_field(args, magic)
+    else:  # not an image: load_pattern reports any format error
         if args.threshold is not None or args.pixel_size is not None:
             raise _Usage("--threshold/--pixel-size only apply to image input")
         subject = load_pattern(args.input)
@@ -333,7 +289,6 @@ def cmd_tessellate(args) -> int:
         obj = delaunay(pattern)
         stats = None
     out = _resolve_out(args, args.default_out)
-    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     save_tess(obj, out)
     written = [out]
     base = os.path.splitext(out)[0]
@@ -395,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_u64, default=0,
                         help="unsigned 64-bit seed (default 0)")
-    common.add_argument("--threads", type=_positive_int, default=None,
+    common.add_argument("--threads", type=_min_int(1), default=None,
                         help="worker threads (default: HUPA_THREADS or 1); "
                              "never changes output bytes")
     common.add_argument("--out-dir", default=".",
@@ -437,10 +392,7 @@ def main(argv=None) -> int:
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except HupaError as exc:
+    except (FileNotFoundError, HupaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

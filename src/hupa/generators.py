@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -22,7 +22,7 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 LATTICE_KINDS = ("square", "triangular", "cubic")
-GENERATOR_KINDS = ("poisson", "lattice", "perturbed_lattice", "rsa_packing")
+_DEFAULT_LATTICE = {2: "square", 3: "cubic"}  # by box dimension
 
 
 def validate_seed(seed) -> int:
@@ -88,18 +88,12 @@ def _lattice_sites(box: BoxDomain, lattice_kind: str, spacing: float) -> np.ndar
     a = float(spacing)
     if a <= 0:
         raise ValueError("spacing must be positive")
-    if lattice_kind == "square":
-        if box.dim != 2:
-            raise ValueError("square lattice needs a 2D box")
-        nx = _commensurate_steps(box.lengths[0], a, axis=0, spacing=a)
-        ny = _commensurate_steps(box.lengths[1], a, axis=1, spacing=a)
-        ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-        return np.column_stack([ii.ravel() * a, jj.ravel() * a])
-    if lattice_kind == "cubic":
-        if box.dim != 3:
-            raise ValueError("cubic lattice needs a 3D box")
+    if lattice_kind in ("square", "cubic"):
+        dim = 2 if lattice_kind == "square" else 3
+        if box.dim != dim:
+            raise ValueError(f"{lattice_kind} lattice needs a {dim}D box")
         ns = [_commensurate_steps(box.lengths[k], a, axis=k, spacing=a)
-              for k in range(3)]
+              for k in range(dim)]
         grids = np.meshgrid(*[np.arange(n) for n in ns], indexing="ij")
         return np.column_stack([g.ravel() * a for g in grids])
     if lattice_kind == "triangular":
@@ -118,15 +112,18 @@ def _lattice_sites(box: BoxDomain, lattice_kind: str, spacing: float) -> np.ndar
     raise ValueError(f"unknown lattice kind {lattice_kind!r}; expected one of {LATTICE_KINDS}")
 
 
-def generate_lattice(box: BoxDomain, lattice_kind: str, spacing: float,
-                     seed: int = 0) -> PointPattern:
-    """Perfect lattice filling the box.
+def generate_lattice(box: BoxDomain, lattice_kind: str | None = None, *,
+                     spacing: float, seed: int = 0) -> PointPattern:
+    """Perfect lattice filling the box; lattice_kind None means square in
+    2D and cubic in 3D.
 
     The box must be commensurate with the generating cell; the error for an
     incommensurate axis names the nearest commensurate length.  The seed is
-    accepted for interface symmetry and ignored.
+    recorded in the provenance for interface symmetry and otherwise ignored.
     """
     seed = validate_seed(seed)
+    if lattice_kind is None:
+        lattice_kind = _DEFAULT_LATTICE[box.dim]
     sites = wrap_point(_lattice_sites(box, lattice_kind, spacing), box)
     prov = (f"lattice(kind={lattice_kind}, a={spacing:g}, box={_fmt_box(box)}, "
             f"seed={seed})")
@@ -145,8 +142,7 @@ def generate_perturbed_lattice(box: BoxDomain, spacing: float, jitter: float,
     d = float(jitter)
     if not 0 <= d < a / 2:
         raise ValueError(f"jitter must satisfy 0 <= jitter < spacing/2, got {d}")
-    kind = "square" if box.dim == 2 else "cubic"
-    sites = _lattice_sites(box, kind, a)
+    sites = _lattice_sites(box, _DEFAULT_LATTICE[box.dim], a)
     rng = np.random.default_rng(seed)
     if d > 0:
         sites = sites + rng.uniform(-d, d, sites.shape)
@@ -268,9 +264,59 @@ def generate_rsa_packing(box: BoxDomain, hard_radius: float, *,
     return PointPattern(box=box, points=accepted, hard_radius=r, provenance=prov)
 
 
+class Param(NamedTuple):
+    """A generator parameter: library keyword, CLI flag and parse type,
+    whether a spec must give it, and its help text."""
+
+    name: str
+    flag: str
+    type: Callable
+    required: bool
+    help: str
+    choices: tuple | None = None
+
+
+class Generator(NamedTuple):
+    fn: Callable  # called as fn(box, seed=..., **params)
+    params: tuple
+
+
+_SPACING = Param("spacing", "--spacing", float, True, "lattice spacing a")
+
+# One table of generator kinds: GeneratorSpec checks parameters against it,
+# generate() dispatches through it and the CLI builds its flags from it, so a
+# new kind is one function plus one entry.  Defaults live in the signatures;
+# lattice's seed is recorded in its provenance but drives nothing.
+GENERATORS = {
+    "poisson": Generator(generate_poisson, (
+        Param("intensity", "--rho", float, True, "expected points per unit volume"),
+    )),
+    "lattice": Generator(generate_lattice, (
+        Param("lattice_kind", "--kind", str, False, "cell geometry", LATTICE_KINDS),
+        _SPACING,
+    )),
+    "perturbed_lattice": Generator(generate_perturbed_lattice, (
+        _SPACING,
+        Param("jitter", "--jitter", float, True, "uniform displacement half-width"),
+    )),
+    "rsa_packing": Generator(generate_rsa_packing, (
+        Param("hard_radius", "--hard-radius", float, True, "hard-core radius"),
+        Param("count", "--count", int, False, "number of centers to place"),
+        Param("fraction", "--fraction", float, False, "target packing fraction"),
+        Param("max_attempts", "--max-attempts", int, False,
+              "consecutive-rejection budget"),
+    )),
+}
+GENERATOR_KINDS = tuple(GENERATORS)
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """A generator recipe: kind, box, kind-specific parameters, and seed."""
+    """A generator recipe: kind, box, kind-specific parameters, and seed.
+
+    The parameter names are checked against GENERATORS: an unknown name, or
+    a missing (or None) required one, raises ValueError.
+    """
 
     kind: str
     box: BoxDomain
@@ -278,28 +324,27 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in GENERATOR_KINDS:
+        if self.kind not in GENERATORS:
             raise ValueError(
                 f"unknown generator kind {self.kind!r}; expected one of {GENERATOR_KINDS}"
             )
-        object.__setattr__(self, "params", dict(self.params))
+        params = dict(self.params)
+        known = GENERATORS[self.kind].params
+        names = tuple(p.name for p in known)
+        for name in params:
+            if name not in names:
+                raise ValueError(f"unknown parameter {name!r} for {self.kind}; "
+                                 f"it takes {names}")
+        for p in known:
+            if p.required and params.get(p.name) is None:
+                raise ValueError(f"{self.kind} requires parameter {p.name!r}")
+        object.__setattr__(self, "params", params)
         object.__setattr__(self, "seed", validate_seed(self.seed))
 
 
 def generate(spec: GeneratorSpec) -> PointPattern:
     """Run the generator described by a GeneratorSpec."""
-    p = spec.params
-    if spec.kind == "poisson":
-        return generate_poisson(spec.box, p["intensity"], spec.seed)
-    if spec.kind == "lattice":
-        return generate_lattice(spec.box, p["lattice_kind"], p["spacing"], spec.seed)
-    if spec.kind == "perturbed_lattice":
-        return generate_perturbed_lattice(spec.box, p["spacing"], p["jitter"], spec.seed)
-    return generate_rsa_packing(
-        spec.box, p["hard_radius"],
-        count=p.get("count"), fraction=p.get("fraction"),
-        max_attempts=p.get("max_attempts", 10_000), seed=spec.seed,
-    )
+    return GENERATORS[spec.kind].fn(spec.box, seed=spec.seed, **spec.params)
 
 
 def ensemble(spec: GeneratorSpec, n_realizations: int,
@@ -312,8 +357,6 @@ def ensemble(spec: GeneratorSpec, n_realizations: int,
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
     base = spec.seed if base_seed is None else validate_seed(base_seed)
-    out = []
-    for i in range(n_realizations):
-        s = GeneratorSpec(spec.kind, spec.box, spec.params, derive_seed(base, i))
-        out.append(generate(s))
-    return out
+    return [generate(GeneratorSpec(spec.kind, spec.box, spec.params,
+                                   derive_seed(base, i)))
+            for i in range(n_realizations)]

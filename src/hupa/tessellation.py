@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -176,8 +177,11 @@ def _initial_triangulation(pattern: PointPattern, ranks: np.ndarray, eta: float)
     return tris
 
 
-def _flip_to_delaunay(tris: dict, pattern: PointPattern, ranks: np.ndarray) -> dict:
+def _flip_to_delaunay(tris: dict, edge_map: dict, pattern: PointPattern,
+                      ranks: np.ndarray) -> tuple:
     """Lawson's edge-flip loop with exact, symbolically perturbed tests.
+
+    Flips tris in place with edge_map in step; returns the sorted triangles.
 
     Every edge is examined in its own canonical frame, so a given torus
     edge always sees the same floating-point coordinates no matter which
@@ -188,7 +192,6 @@ def _flip_to_delaunay(tris: dict, pattern: PointPattern, ranks: np.ndarray) -> d
     """
     pts = pattern.points
     lengths = pattern.box.lengths
-    edge_map = _build_edge_map(tris)
     next_tid = max(tris, default=0) + 1
     max_sweeps = 64 + 2 * len(pattern)
     for _ in range(max_sweeps):
@@ -243,7 +246,7 @@ def _flip_to_delaunay(tris: dict, pattern: PointPattern, ranks: np.ndarray) -> d
                 next_tid += 1
             flipped_any = True
         if not flipped_any:
-            return tris
+            return tuple(sorted(tris.values()))
     raise TessellationError("edge-flip pass did not converge")
 
 
@@ -278,10 +281,15 @@ class Triangulation:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edge_keys())
+        return len(self.edge_map)
 
     def edge_keys(self) -> list:
-        return sorted(_build_edge_map(dict(enumerate(self.triangles))).keys())
+        return sorted(self.edge_map)
+
+    @cached_property
+    def edge_map(self) -> dict:
+        """_build_edge_map of the triangles, built once and then shared."""
+        return _build_edge_map(dict(enumerate(self.triangles)))
 
 
 @dataclass(frozen=True)
@@ -339,19 +347,18 @@ def delaunay(pattern: PointPattern) -> Triangulation:
         raise TessellationError("triangulation needs at least 3 points")
     ranks = _point_ranks(pattern.points)
     eta = _LIFT_ETA_FACTOR * pattern.box.min_length ** 2
-    tris = None
     for attempt in range(3):
-        candidate = _initial_triangulation(pattern, ranks, eta * 100.0 ** attempt)
-        if _check_structure(candidate, _build_edge_map(candidate), n):
-            tris = candidate
+        tris = _initial_triangulation(pattern, ranks, eta * 100.0 ** attempt)
+        edge_map = _build_edge_map(tris)
+        if _check_structure(tris, edge_map, n):
             break
-    if tris is None:
+    else:
         raise TessellationError(
             "could not assemble a consistent periodic triangulation; a "
             "triangle may span more than one box period"
         )
-    tris = _flip_to_delaunay(tris, pattern, ranks)
-    triangles = tuple(sorted(tris.values()))
+    triangles = _flip_to_delaunay(tris, edge_map, pattern, ranks)
+    del tris, edge_map  # freed before validation builds the final map
     tri_obj = _finish_triangulation(pattern, triangles)
     _validate_triangulation(tri_obj)
     return tri_obj
@@ -378,11 +385,10 @@ def _finish_triangulation(pattern: PointPattern, triangles) -> Triangulation:
 def _validate_triangulation(tri: Triangulation):
     pattern = tri.pattern
     n = len(pattern)
-    edge_map = _build_edge_map(dict(enumerate(tri.triangles)))
-    if not _check_structure(dict(enumerate(tri.triangles)), edge_map, n):
+    if not _check_structure(dict(enumerate(tri.triangles)), tri.edge_map, n):
         raise TessellationError("triangulation violates the torus edge structure")
     # V - E + F = 0 on the torus, with E = 3N and F = 2N.
-    if n - len(edge_map) + len(tri.triangles) != 0:
+    if n - tri.n_edges + tri.n_faces != 0:
         raise TessellationError("triangulation violates the Euler relation")
     limit = pattern.box.min_length / 2.0
     if float(tri.circumradii.max()) >= limit:
@@ -414,7 +420,7 @@ def circumcircle_violations(tri: Triangulation,
     return violations
 
 
-def _degenerate_edges(tri: Triangulation, edge_map: dict, tol: float) -> set:
+def _degenerate_edges(tri: Triangulation, tol: float) -> set:
     """Edges whose two adjacent circumcenters coincide (cocircular quads).
 
     Decided once per edge in the edge's own frame, so both incident cells
@@ -422,7 +428,7 @@ def _degenerate_edges(tri: Triangulation, edge_map: dict, tol: float) -> set:
     """
     lengths = np.asarray(tri.pattern.box.lengths)
     degenerate = set()
-    for key, entries in edge_map.items():
+    for key, entries in tri.edge_map.items():
         (t0, s0, _), (t1, s1, _) = entries
         c0 = tri.circumcenters[t0] + np.asarray(s0) * lengths
         c1 = tri.circumcenters[t1] + np.asarray(s1) * lengths
@@ -447,10 +453,8 @@ def voronoi(pattern: PointPattern) -> Tessellation:
 def _voronoi_dual(pattern: PointPattern) -> Tessellation:
     tri = delaunay(pattern)
     lengths = np.asarray(pattern.box.lengths)
-    tris = dict(enumerate(tri.triangles))
-    edge_map = _build_edge_map(tris)
     tol = MERGE_TOL_FACTOR * pattern.box.min_length
-    degenerate = _degenerate_edges(tri, edge_map, tol)
+    degenerate = _degenerate_edges(tri, tol)
 
     # Union circumcenters across degenerate edges; the class representative
     # (smallest triangle id) owns the row in the shared vertex table.
@@ -463,7 +467,7 @@ def _voronoi_dual(pattern: PointPattern) -> Tessellation:
         return x
 
     for key in degenerate:
-        (t0, _, _), (t1, _, _) = edge_map[key]
+        (t0, _, _), (t1, _, _) = tri.edge_map[key]
         r0, r1 = find(t0), find(t1)
         if r0 != r1:
             parent[max(r0, r1)] = min(r0, r1)
@@ -476,7 +480,7 @@ def _voronoi_dual(pattern: PointPattern) -> Tessellation:
     # frame) for the CCW triangle (i, u, w): following w walks CCW around i.
     star: dict = {}
     first_key: dict = {}
-    for tid, tri_c in tris.items():
+    for tid, tri_c in enumerate(tri.triangles):
         for p in range(3):
             bi, oi = tri_c[p]
             u = tri_c[(p + 1) % 3]

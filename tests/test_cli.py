@@ -6,7 +6,8 @@ import pytest
 
 from hupa import cli
 from hupa.field import load_field
-from hupa.pattern import load_pattern
+from hupa.generators import GENERATORS, GeneratorSpec, generate
+from hupa.pattern import BoxDomain, load_pattern, save_pattern
 from hupa.report import load_schema, validate_report
 from hupa.tessellation import load_tess
 
@@ -93,6 +94,34 @@ class TestGenerate:
         code, _, _ = run(capsys, "generate", "lattice", "--box", "8x8",
                          "-o", str(tmp_path / "x.pat"))
         assert code == 2
+
+    def test_max_attempts_does_not_apply_to_lattice(self, capsys, tmp_path):
+        code, _, stderr = run(capsys, "generate", "lattice", "--box", "8x8",
+                              "--spacing", "1", "--max-attempts", "5",
+                              "-o", str(tmp_path / "x.pat"))
+        assert code == 2
+        assert "--max-attempts does not apply to lattice" in stderr
+
+    # small, valid parameters for every kind in the generator table
+    TABLE_VALUES = {
+        "poisson": {"intensity": 1.5},
+        "lattice": {"spacing": 1.0},
+        "perturbed_lattice": {"spacing": 1.0, "jitter": 0.2},
+        "rsa_packing": {"hard_radius": 0.3, "count": 20, "max_attempts": 500},
+    }
+
+    @pytest.mark.parametrize("kind", list(GENERATORS))
+    def test_cli_file_matches_library(self, capsys, tmp_path, kind):
+        values = self.TABLE_VALUES[kind]
+        argv = ["generate", kind, "--box", "8x8", "--seed", "5"]
+        for param in GENERATORS[kind].params:
+            if param.name in values:
+                argv += [param.flag, str(values[param.name])]
+        out = gen_pattern(capsys, tmp_path, "cli.pat", *argv)
+        lib = str(tmp_path / "lib.pat")
+        save_pattern(generate(GeneratorSpec(kind, BoxDomain(lengths=(8.0, 8.0)),
+                                            values, seed=5)), lib)
+        assert open(out, "rb").read() == open(lib, "rb").read()
 
     def test_bad_box_or_seed_rejected(self, capsys, tmp_path):
         code, _, stderr = run(capsys, "generate", "poisson", "--box", "8xfoo",
@@ -193,6 +222,13 @@ class TestVariance:
         code, _, _ = run(capsys, "variance", pat, "--threshold", "100",
                          "-o", str(tmp_path / "v"))
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["variance", "field"])
+    def test_one_window_is_usage_error(self, capsys, tmp_path, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, str(tmp_path / "in.pbm"), "--windows", "1"])
+        assert exc.value.code == 2
+        assert "must be >= 2" in capsys.readouterr().err
 
     def test_missing_input_exits_1(self, capsys, tmp_path):
         code, _, stderr = run(capsys, "variance",

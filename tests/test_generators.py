@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from hupa import (BoxDomain, GeneratorSpec, IncommensurateBoxError,
+from hupa import (GENERATOR_KINDS, BoxDomain, GeneratorSpec,
+                  IncommensurateBoxError,
                   TargetUnreachableError, derive_seed, ensemble, generate,
                   generate_lattice, generate_perturbed_lattice,
                   generate_poisson, generate_rsa_packing, periodic_distance)
+from hupa.generators import GENERATORS
 from oracles import chi_square_sf, periodic_dist, poisson_cdf
 
 TRI_HEIGHT = math.sqrt(3) / 2
@@ -96,7 +98,7 @@ class TestPoisson:
 class TestLattice:
     def test_square_10x10(self):
         box = BoxDomain(lengths=(10.0, 10.0))
-        p = generate_lattice(box, "square", 1.0)
+        p = generate_lattice(box, "square", spacing=1.0)
         assert len(p.points) == 100
         d = np.array([
             periodic_distance(p.points[0], q, box) for q in p.points[1:]
@@ -105,12 +107,12 @@ class TestLattice:
 
     def test_cubic_4x4x4(self):
         box = BoxDomain(lengths=(4.0, 4.0, 4.0))
-        p = generate_lattice(box, "cubic", 1.0)
+        p = generate_lattice(box, "cubic", spacing=1.0)
         assert len(p.points) == 64
 
     def test_triangular_counts_and_neighbors(self):
         box = BoxDomain(lengths=(8.0, 8 * TRI_HEIGHT))
-        p = generate_lattice(box, "triangular", 1.0)
+        p = generate_lattice(box, "triangular", spacing=1.0)
         assert len(p.points) == 64
         for q in p.points[:8]:
             d = np.array([periodic_distance(q, r, box) for r in p.points])
@@ -120,7 +122,7 @@ class TestLattice:
     def test_incommensurate_names_axis_and_nearest(self):
         box = BoxDomain(lengths=(10.0, 10.0))
         with pytest.raises(IncommensurateBoxError) as err:
-            generate_lattice(box, "square", 3.0)
+            generate_lattice(box, "square", spacing=3.0)
         assert err.value.axis == 0
         assert math.isclose(err.value.nearest_length, 9.0)
         msg = str(err.value)
@@ -129,28 +131,28 @@ class TestLattice:
     def test_incommensurate_triangular_height(self):
         box = BoxDomain(lengths=(8.0, 8.0))
         with pytest.raises(IncommensurateBoxError) as err:
-            generate_lattice(box, "triangular", 1.0)
+            generate_lattice(box, "triangular", spacing=1.0)
         assert err.value.axis == 1
 
     def test_kind_dim_mismatch(self):
         with pytest.raises(ValueError):
-            generate_lattice(BoxDomain(lengths=(4.0, 4.0)), "cubic", 1.0)
+            generate_lattice(BoxDomain(lengths=(4.0, 4.0)), "cubic", spacing=1.0)
         with pytest.raises(ValueError):
-            generate_lattice(BoxDomain(lengths=(4.0, 4.0, 4.0)), "square", 1.0)
+            generate_lattice(BoxDomain(lengths=(4.0, 4.0, 4.0)), "square", spacing=1.0)
 
 
 class TestPerturbedLattice:
     def test_zero_jitter_is_lattice(self):
         box = BoxDomain(lengths=(8.0, 8.0))
         a = generate_perturbed_lattice(box, 1.0, 0.0, seed=5)
-        b = generate_lattice(box, "square", 1.0)
+        b = generate_lattice(box, "square", spacing=1.0)
         order = np.lexsort((a.points[:, 1], a.points[:, 0]))
         order_b = np.lexsort((b.points[:, 1], b.points[:, 0]))
         assert np.allclose(a.points[order], b.points[order_b], atol=1e-12)
 
     def test_displacement_bound(self):
         box = BoxDomain(lengths=(16.0, 16.0))
-        sites = generate_lattice(box, "square", 1.0).points
+        sites = generate_lattice(box, "square", spacing=1.0).points
         p = generate_perturbed_lattice(box, 1.0, 0.3, seed=6)
         assert len(p.points) == len(sites)
         bound = 0.3 * math.sqrt(2) + 1e-12
@@ -283,3 +285,39 @@ class TestGenerateDispatch:
         direct = generate_perturbed_lattice(box, 1.0, 0.2, seed=3)
         assert np.array_equal(via_spec.points, direct.points)
         assert via_spec.provenance == direct.provenance
+
+    def test_kinds_are_the_table(self):
+        assert GENERATOR_KINDS == tuple(GENERATORS)
+
+    @pytest.mark.parametrize("kind,params,name", [
+        ("poisson", {}, "intensity"),
+        ("poisson", {"intensity": None}, "intensity"),
+        ("lattice", {"lattice_kind": "square"}, "spacing"),
+        ("perturbed_lattice", {"spacing": 1.0}, "jitter"),
+        ("rsa_packing", {"count": 3}, "hard_radius"),
+    ])
+    def test_missing_param_is_value_error(self, kind, params, name):
+        box = BoxDomain(lengths=(4.0, 4.0))
+        with pytest.raises(ValueError, match=f"requires parameter '{name}'"):
+            GeneratorSpec(kind=kind, box=box, params=params)
+
+    @pytest.mark.parametrize("kind,params,name", [
+        ("poisson", {"intensity": 1.0, "spacing": 2.0}, "spacing"),
+        ("rsa_packing", {"hard_radius": 0.3, "fractoin": 0.1}, "fractoin"),
+        ("lattice", {"spacing": 1.0, "seed": 3}, "seed"),
+    ])
+    def test_unknown_param_is_value_error(self, kind, params, name):
+        box = BoxDomain(lengths=(4.0, 4.0))
+        with pytest.raises(ValueError, match=f"unknown parameter '{name}'"):
+            GeneratorSpec(kind=kind, box=box, params=params)
+
+    @pytest.mark.parametrize("lengths,kind", [((4.0, 4.0), "square"),
+                                              ((3.0, 3.0, 3.0), "cubic")])
+    def test_lattice_kind_defaults_by_dimension(self, lengths, kind):
+        box = BoxDomain(lengths=lengths)
+        pat = generate(GeneratorSpec(kind="lattice", box=box,
+                                     params={"spacing": 1.0}))
+        direct = generate_lattice(box, kind, spacing=1.0)
+        assert np.array_equal(pat.points, direct.points)
+        assert pat.provenance == direct.provenance
+        assert f"kind={kind}" in pat.provenance

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import hupa.tessellation
 from hupa.errors import (DegenerateInputError, PatternFormatError,
                          TessellationError)
 from hupa.generators import GeneratorSpec, generate
@@ -49,6 +50,21 @@ class TestDelaunayStructure:
         tri = delaunay(poisson32)
         assert math.isclose(float(tri.areas.sum()), poisson32.box.volume,
                             rel_tol=1e-9)
+
+    def test_voronoi_builds_edge_map_at_most_twice(self, poisson32,
+                                                   monkeypatch):
+        # one map for the hull candidate and the flip pass, one cached on
+        # the final Triangulation for validation and the dual walk
+        calls = []
+        build = hupa.tessellation._build_edge_map
+
+        def counted(tris):
+            calls.append(len(tris))
+            return build(tris)
+
+        monkeypatch.setattr(hupa.tessellation, "_build_edge_map", counted)
+        voronoi(poisson32)
+        assert len(calls) <= 2
 
     def test_empty_circumcircles(self, poisson32):
         assert circumcircle_violations(delaunay(poisson32)) == 0

@@ -28,7 +28,7 @@ class TestCountInWindow:
 
     def test_square_lattice_center_on_site(self):
         box = BoxDomain(lengths=(16.0, 16.0))
-        p = generate_lattice(box, "square", 1.0)
+        p = generate_lattice(box, "square", spacing=1.0)
         site = p.points[17]
         assert window_counts(p, 1.05, [site])[0] == 5
 
@@ -307,7 +307,7 @@ class TestAnalyze:
 
     def test_lattice_pipeline(self):
         box = BoxDomain(lengths=(64.0, 64.0))
-        p = generate_lattice(box, "square", 1.0)
+        p = generate_lattice(box, "square", spacing=1.0)
         _, _, order = analyze(p, radii=[2.0, 4.0, 8.0, 12.0],
                               n_windows=4000, seed=18)
         assert order.label == "hyperuniform"
