@@ -399,3 +399,7 @@ def main(argv=None) -> int:
         elapsed = time.monotonic() - started
         print(f"elapsed: {elapsed:.3f} s", file=sys.stderr)
     return code
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -11,20 +11,21 @@ stage produced, flipping runs until every edge passes the exact
 (symbolically perturbed) circumcircle test, which pins down a unique
 triangulation for any input without coincident points.
 
-The Voronoi tessellation is read off as the dual for three or more
-generators; one- and two-point patterns are handled by direct half-plane
-clipping against periodic images.
+The Voronoi tessellation is read off as the dual.  A pattern with fewer
+than three points, or too sparse for a triangulation of its own box, is
+tessellated the same way on a covering torus of box copies, and the cells
+of the first copy are folded back.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable
 
 import numpy as np
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, cKDTree
 
 from .errors import (DegenerateInputError, PatternFormatError,
                      TessellationError)
@@ -41,7 +42,13 @@ AREA_RTOL = 1e-9
 CIRCUMCIRCLE_RTOL = 1e-9
 
 _LIFT_ETA_FACTOR = 1e-10
+_COVER_MAX_POINTS = 4096
 _TILE_OFFSETS = [(ox, oy) for ox in (-1, 0, 1) for oy in (-1, 0, 1)]
+
+
+class _TooSparseError(TessellationError):
+    """A 1-sheet build failed because the pattern is too sparse for its box;
+    voronoi() answers it with the covering torus."""
 
 
 def _oadd(a: Offset, b: Offset) -> Offset:
@@ -145,7 +152,9 @@ def _initial_triangulation(pattern: PointPattern, ranks: np.ndarray, eta: float)
     Each point gets the same finite height in all nine tiles, so whatever
     Qhull decides about near-cocircular quadruples it decides identically
     for every copy; the exact flip pass afterwards removes any remaining
-    dependence on this stage.
+    dependence on this stage.  The heights are strictly convex in the rank:
+    on a lattice the rank is affine in the site index, and affine heights
+    would leave every lifted cocircular quad coplanar.
     """
     pts = pattern.points
     lengths = pattern.box.lengths
@@ -153,7 +162,7 @@ def _initial_triangulation(pattern: PointPattern, ranks: np.ndarray, eta: float)
     tiles = [pts + np.array(off, dtype=float) * pattern.box.lengths_array()
              for off in _TILE_OFFSETS]
     ghost = np.vstack(tiles)
-    heights = eta * (ranks + 1.0)
+    heights = eta * (ranks + 1.0) * (ranks + 2.0) / n
     lifted = np.column_stack([
         ghost[:, 0], ghost[:, 1],
         ghost[:, 0] ** 2 + ghost[:, 1] ** 2 + np.tile(heights, len(_TILE_OFFSETS)),
@@ -344,7 +353,7 @@ def delaunay(pattern: PointPattern) -> Triangulation:
     _require_2d(pattern, "delaunay")
     n = len(pattern)
     if n < 3:
-        raise TessellationError("triangulation needs at least 3 points")
+        raise _TooSparseError("triangulation needs at least 3 points")
     ranks = _point_ranks(pattern.points)
     eta = _LIFT_ETA_FACTOR * pattern.box.min_length ** 2
     for attempt in range(3):
@@ -353,7 +362,7 @@ def delaunay(pattern: PointPattern) -> Triangulation:
         if _check_structure(tris, edge_map, n):
             break
     else:
-        raise TessellationError(
+        raise _TooSparseError(
             "could not assemble a consistent periodic triangulation; a "
             "triangle may span more than one box period"
         )
@@ -392,7 +401,7 @@ def _validate_triangulation(tri: Triangulation):
         raise TessellationError("triangulation violates the Euler relation")
     limit = pattern.box.min_length / 2.0
     if float(tri.circumradii.max()) >= limit:
-        raise TessellationError(
+        raise _TooSparseError(
             f"circumradius {tri.circumradii.max():g} reaches the period "
             f"limit {limit:g}; the pattern is too sparse for this box"
         )
@@ -438,16 +447,71 @@ def _degenerate_edges(tri: Triangulation, tol: float) -> set:
 
 
 def voronoi(pattern: PointPattern) -> Tessellation:
-    """Periodic Voronoi tessellation of a 2D pattern with >= 1 point."""
+    """Periodic Voronoi tessellation of a 2D pattern with >= 1 point.
+
+    A pattern with fewer than 3 points, or too sparse for its box, is
+    tessellated on a covering torus and folded back (_voronoi_cover).
+    """
     _require_2d(pattern, "voronoi")
     if len(pattern) == 0:
         raise DegenerateInputError("empty pattern has no tessellation")
-    if len(pattern) <= 2:
-        tess = _voronoi_small(pattern)
-    else:
+    try:
         tess = _voronoi_dual(pattern)
+    except _TooSparseError:
+        tess = _voronoi_cover(pattern)
     _validate_tessellation(tess)
     return tess
+
+
+def _voronoi_cover(pattern: PointPattern) -> Tessellation:
+    """Build the dual on a kx-by-ky covering torus and keep copy (0, 0).
+
+    The cover holds a full lattice of copies of point 0, so no empty circle
+    has a radius above half the box diagonal, and k_a * L_a exceeds that
+    diagonal on each axis: every circumradius stays under the cover's
+    period limit.
+    Cells keep their polygon, area and sides; neighbours are taken mod N
+    and the corners are merged into a vertex table of the original box.
+    """
+    box = pattern.box
+    lengths = box.lengths_array()
+    n = len(pattern)
+    reps = (np.floor(math.hypot(*lengths) / lengths) + 1).astype(int)
+    size = int(reps.prod()) * n
+    if size > _COVER_MAX_POINTS:
+        raise TessellationError(
+            f"pattern needs a {reps[0]}x{reps[1]} covering torus of {size} "
+            f"points, above the limit of {_COVER_MAX_POINTS}; the pattern is "
+            f"too sparse or the box too elongated"
+        )
+    cover_box = BoxDomain(lengths=tuple(reps * lengths))
+    copies = [pattern.points + np.array((cx, cy)) * lengths
+              for cx in range(reps[0]) for cy in range(reps[1])]
+    cover = PointPattern(box=cover_box,
+                         points=wrap_point(np.vstack(copies), cover_box))
+    built = _voronoi_dual(cover).cells[:n]
+
+    corners = np.vstack([c.polygon for c in built])
+    wrapped = wrap_point(corners, box)
+    tol = MERGE_TOL_FACTOR * box.min_length
+    near = cKDTree(wrapped, boxsize=lengths).query_ball_point(wrapped, tol)
+    rows = np.empty(len(corners), dtype=int)
+    table = []
+    for k, hits in enumerate(near):
+        first = min(hits)
+        if first < k:
+            rows[k] = rows[first]
+        else:
+            rows[k] = len(table)
+            table.append(wrapped[k])
+    table = np.array(table)
+    offsets = np.rint((corners - table[rows]) / lengths).astype(int)
+    refs = [(int(r), (int(ox), int(oy))) for r, (ox, oy) in zip(rows, offsets)]
+    ends = np.cumsum([c.sides for c in built])
+    cells = tuple(replace(c, loop=tuple(refs[end - c.sides:end]),
+                          neighbors=tuple(j % n for j in c.neighbors))
+                  for c, end in zip(built, ends))
+    return Tessellation(pattern=pattern, cells=cells, vertices=table)
 
 
 def _voronoi_dual(pattern: PointPattern) -> Tessellation:
@@ -534,132 +598,6 @@ def _voronoi_dual(pattern: PointPattern) -> Tessellation:
         cells.append(Cell(generator=i, polygon=polygon, loop=tuple(loop),
                           area=area, sides=len(polygon), neighbors=neighbors))
     return Tessellation(pattern=pattern, cells=tuple(cells), vertices=table)
-
-
-def _voronoi_small(pattern: PointPattern) -> Tessellation:
-    """Direct construction for one or two generators: clip the box-sized
-    rectangle around each generator by bisectors against all nearby
-    periodic images (of the other point and of the generator itself)."""
-    pts = pattern.points
-    lengths = np.asarray(pattern.box.lengths)
-    n = len(pattern)
-    tol = MERGE_TOL_FACTOR * pattern.box.min_length
-    if n == 2 and bool(np.all(pts[0] == pts[1])):
-        raise DegenerateInputError("pattern contains coincident points")
-
-    cells = []
-    all_corners = []
-    for i in range(n):
-        g = pts[i]
-        hx, hy = lengths[0] / 2.0, lengths[1] / 2.0
-        poly = [g + np.array(d) for d in
-                ((-hx, -hy), (hx, -hy), (hx, hy), (-hx, hy))]
-        sources = [None] * len(poly)  # neighbor base per side, None = unclipped
-        for j in range(n):
-            for ox in (-2, -1, 0, 1, 2):
-                for oy in (-2, -1, 0, 1, 2):
-                    if j == i and ox == 0 and oy == 0:
-                        continue
-                    image = pts[j] + np.array([ox, oy]) * lengths
-                    poly, sources = _clip_halfplane(poly, sources, g, image, j)
-                    if len(poly) < 3:
-                        raise TessellationError("cell clipped away entirely")
-        poly, sources = _merge_sides(poly, sources, tol)
-        polygon = np.array(poly)
-        area = _shoelace(polygon)
-        neighbors = tuple(i if s is None else s for s in sources)
-        cells.append((i, polygon, area, neighbors))
-        all_corners.extend(polygon)
-
-    # Shared corner table: wrapped positions, deduplicated within tolerance.
-    table = []
-    refs = []
-    for corner in all_corners:
-        w = wrap_point(np.asarray(corner, dtype=float), pattern.box)
-        row = next((r for r, t in enumerate(table)
-                    if np.hypot(*(w - t)) <= tol), None)
-        if row is None:
-            table.append(w)
-            row = len(table) - 1
-        off = np.rint((corner - table[row]) / lengths)
-        refs.append((row, (int(off[0]), int(off[1]))))
-    table = np.array(table) if table else np.empty((0, 2))
-
-    out = []
-    pos = 0
-    for i, polygon, area, neighbors in cells:
-        m = len(polygon)
-        out.append(Cell(generator=i, polygon=polygon,
-                        loop=tuple(refs[pos:pos + m]), area=area,
-                        sides=m, neighbors=neighbors))
-        pos += m
-    return Tessellation(pattern=pattern, cells=tuple(out), vertices=table)
-
-
-def _clip_halfplane(poly, sources, g, image, neighbor):
-    """Keep the part of the polygon closer to g than to image.
-
-    sources[k] names the neighbor whose bisector created the side running
-    from vertex k to vertex k+1 (None for never-clipped box sides).
-    """
-    mid = (np.asarray(g, dtype=float) + image) / 2.0
-    normal = image - np.asarray(g, dtype=float)  # positive = closer to image
-    vals = [float(np.dot(p - mid, normal)) for p in poly]
-    if all(v <= 0.0 for v in vals):
-        return poly, sources
-    new_poly = []
-    new_sources = []
-    m = len(poly)
-    for k in range(m):
-        p0, v0 = poly[k], vals[k]
-        p1, v1 = poly[(k + 1) % m], vals[(k + 1) % m]
-        in0, in1 = v0 <= 0.0, v1 <= 0.0
-        if in0 and in1:
-            new_poly.append(p0)
-            new_sources.append(sources[k])
-        elif in0 and not in1:
-            new_poly.append(p0)
-            new_sources.append(sources[k])
-            t = v0 / (v0 - v1)
-            new_poly.append(p0 + t * (p1 - p0))
-            new_sources.append(neighbor)  # cut runs along the new bisector
-        elif not in0 and in1:
-            t = v0 / (v0 - v1)
-            new_poly.append(p0 + t * (p1 - p0))
-            new_sources.append(sources[k])
-    return new_poly, new_sources
-
-
-def _merge_sides(poly, sources, tol):
-    """Drop duplicate consecutive corners and join collinear consecutive
-    sides that face the same neighbor."""
-    m = len(poly)
-    keep_poly = []
-    keep_sources = []
-    for k in range(m):
-        nxt = (k + 1) % m
-        if np.hypot(*(np.asarray(poly[nxt]) - poly[k])) <= tol:
-            # Zero-length side: its source label dies with it.
-            continue
-        keep_poly.append(np.asarray(poly[k], dtype=float))
-        keep_sources.append(sources[k])
-    poly, sources = keep_poly, keep_sources
-    changed = True
-    while changed and len(poly) > 3:
-        changed = False
-        m = len(poly)
-        for k in range(m):
-            prv = (k - 1) % m
-            if sources[prv] != sources[k]:
-                continue
-            a, b, c = poly[prv], poly[k], poly[(k + 1) % m]
-            cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-            if abs(cross) <= tol * max(1.0, np.hypot(*(c - a))):
-                del poly[k]
-                del sources[k]
-                changed = True
-                break
-    return poly, sources
 
 
 def _validate_tessellation(tess: Tessellation):

@@ -140,6 +140,53 @@ def pixels_near_segments_brute(segments, lengths, shape, halfwidth):
     return bits
 
 
+def voronoi_cell_faults(points, lengths, generator, polygon, neighbors,
+                        rtol=1e-9):
+    """Check one periodic Voronoi cell against every nearby periodic image.
+
+    Each corner must be equidistant from the generator and from at least
+    two other images, with no image nearer; the midpoint of each side must
+    be equidistant from the generator and from some image of the neighbor
+    that side names, again with no image nearer.  Returns the faults found
+    as strings (empty for a correct cell).
+    """
+    lx, ly = lengths
+    diag = math.hypot(lx, ly)
+    tol = rtol * diag
+    # a corner lies within diag/2 of its generator, so farther images of a
+    # point in the box can never be nearer to it than the generator is
+    kx = int(diag / lx) + 1
+    ky = int(diag / ly) + 1
+    images = []
+    for j, (px, py) in enumerate(points):
+        for ox in range(-kx, kx + 1):
+            for oy in range(-ky, ky + 1):
+                if j != generator or ox != 0 or oy != 0:
+                    images.append((j, px + ox * lx, py + oy * ly))
+    gx, gy = points[generator]
+    faults = []
+    m = len(polygon)
+    for k in range(m):
+        cx, cy = polygon[k]
+        nx, ny = polygon[(k + 1) % m]
+        for label, (qx, qy), want in (
+                (f"corner {k}", (cx, cy), None),
+                (f"side {k}", ((cx + nx) / 2, (cy + ny) / 2), neighbors[k])):
+            d0 = math.hypot(qx - gx, qy - gy)
+            ties = []
+            for j, ix, iy in images:
+                d = math.hypot(qx - ix, qy - iy)
+                if d < d0 - tol:
+                    faults.append(f"{label}: an image of point {j} is nearer")
+                elif d <= d0 + tol:
+                    ties.append(j)
+            if want is None and len(ties) < 2:
+                faults.append(f"{label}: equidistant from {len(ties)} images")
+            if want is not None and want not in ties:
+                faults.append(f"{label}: not on a bisector with point {want}")
+    return faults
+
+
 def poisson_cdf(k: int, lam: float) -> float:
     """P(X <= k) for X ~ Poisson(lam), by direct summation."""
     term = math.exp(-lam)

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,9 +9,9 @@ import pytest
 from hupa import cli
 from hupa.field import load_field
 from hupa.generators import GENERATORS, GeneratorSpec, generate
-from hupa.pattern import BoxDomain, load_pattern, save_pattern
+from hupa.pattern import BoxDomain, PointPattern, load_pattern, save_pattern
 from hupa.report import load_schema, validate_report
-from hupa.tessellation import load_tess
+from hupa.tessellation import load_tess, voronoi
 
 
 def run(capsys, *argv):
@@ -301,6 +303,26 @@ class TestTessellate:
         report = json.load(open(str(tmp_path / "tri.json")))
         assert "cell_stats" not in report
 
+    def test_sparse_three_points(self, capsys, tmp_path):
+        # too sparse for a triangulation of its own box, so the cells are
+        # built on a covering torus
+        pattern = PointPattern(box=BoxDomain(lengths=(100.0, 100.0)),
+                               points=[[50.0, 50.0], [50.5, 50.0], [50.0, 50.5]])
+        pat = str(tmp_path / "sparse.pat")
+        save_pattern(pattern, pat)
+        out = str(tmp_path / "cells.tess")
+        assert run(capsys, "tessellate", pat, "-o", out)[0] == 0
+        model = load_tess(out)
+        lengths = np.asarray(model.lengths)
+        cells = voronoi(pattern).cells
+        assert len(model.faces) == len(cells) == 3
+        for face, cell in zip(model.faces, cells):
+            corners = np.array([model.vertices[i] + np.asarray(off) * lengths
+                                for i, off in face.corners])
+            assert np.allclose(corners, cell.polygon, atol=1e-9)
+            assert face.area == cell.area
+            assert face.sides == cell.sides
+
     def test_degenerate_pattern_exits_1(self, capsys, tmp_path):
         pat = tmp_path / "dup.pat"
         pat.write_text("#hupa-pattern v1\n"
@@ -477,6 +499,18 @@ class TestGlobalFlags:
         code, _, _ = run(capsys, "variance", pat, "--radii", "1,2,4",
                          "--windows", "500", "-o", base)
         assert code == 2
+
+    @pytest.mark.parametrize("module", ["hupa", "hupa.cli"])
+    def test_python_m_runs_cli(self, tmp_path, module):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        paths = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        done = subprocess.run(
+            [sys.executable, "-m", module, "generate", "poisson", "--box",
+             "8x8", "--rho", "1", "-o", "m.pat"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert len(load_pattern(str(tmp_path / "m.pat"))) > 0
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hupa.tessellation
 from hupa.errors import (DegenerateInputError, PatternFormatError,
@@ -11,7 +13,7 @@ from hupa.pattern import BoxDomain, PointPattern, wrap_point
 from hupa.tessellation import (FaceModel, cell_statistics, circumcircle_violations,
                                delaunay, ensemble_cell_statistics, face_model,
                                load_tess, save_tess, voronoi)
-from oracles import shoelace_area
+from oracles import shoelace_area, voronoi_cell_faults
 
 SQRT3 = math.sqrt(3.0)
 
@@ -217,6 +219,110 @@ class TestVoronoi:
         for g, ns in adj.items():
             for n in ns:
                 assert g in adj[n]
+
+
+def assert_valid_cells(tess):
+    pat = tess.pattern
+    lengths = np.asarray(pat.box.lengths)
+    assert len(tess.cells) == len(pat)
+    assert np.all((tess.vertices >= 0) & (tess.vertices < lengths))
+    for cell in tess.cells:
+        assert voronoi_cell_faults(pat.points.tolist(), pat.box.lengths,
+                                   cell.generator, cell.polygon.tolist(),
+                                   cell.neighbors) == []
+        rebuilt = np.array([tess.vertices[i] + np.asarray(off) * lengths
+                            for i, off in cell.loop])
+        assert np.allclose(rebuilt, cell.polygon, atol=1e-9)
+
+
+def offset_square_lattice(m, offset):
+    sites = [(i, j) for i in range(m) for j in range(m)]
+    return make_pattern(np.mod(np.array(sites) + offset, m), (m, m))
+
+
+class TestCoveringTorus:
+    """voronoi() falls back to a covering torus for N < 3 and for patterns
+    too sparse for a 1-sheet triangulation of their own box."""
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8])
+    def test_offset_square_lattice(self, m):
+        rng = np.random.default_rng(500 + m)
+        for offset in rng.uniform(0.0, 1.0, size=(4, 2)):
+            tess = voronoi(offset_square_lattice(m, offset))
+            assert len(tess.cells) == m * m
+            for cell in tess.cells:
+                assert cell.sides == 4
+                assert math.isclose(cell.area, 1.0, rel_tol=1e-9)
+            assert_valid_cells(tess)
+
+    @pytest.mark.parametrize("n, seed", [(3, 303), (4, 404), (6, 606)])
+    def test_sparse_random_patterns(self, n, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            pat = make_pattern(rng.uniform(0.0, 10.0, size=(n, 2)),
+                               (10.0, 10.0))
+            assert_valid_cells(voronoi(pat))
+
+    def test_too_sparse_for_delaunay_still_has_voronoi(self):
+        pat = make_pattern([[50.0, 50.0], [50.5, 50.0], [50.0, 50.5]],
+                           (100.0, 100.0))
+        with pytest.raises(TessellationError):
+            delaunay(pat)
+        tess = voronoi(pat)
+        assert math.isclose(sum(c.area for c in tess.cells), 1e4,
+                            rel_tol=1e-9)
+        assert_valid_cells(tess)
+
+    @pytest.mark.parametrize("points, lengths", [
+        ([[2.0, 3.0]], (5.0, 5.0)),
+        ([[1.0, 2.0], [4.0, 2.0]], (6.0, 4.0)),
+        ([[7.3, 0.2]], (10.0, 1.0)),
+        ([[1.1, 0.7], [6.4, 0.25]], (10.0, 1.0)),
+        ([[0.3, 2.2], [0.9, 6.8], [0.1, 4.0]], (1.0, 7.3)),
+    ])
+    def test_small_and_anisotropic_pass_oracle(self, points, lengths):
+        assert_valid_cells(voronoi(make_pattern(points, lengths)))
+
+    def test_one_point_in_long_box(self):
+        tess = voronoi(make_pattern([[37.5, 0.4]], (100.0, 1.0)))
+        (cell,) = tess.cells
+        assert cell.sides == 4
+        assert math.isclose(cell.area, 100.0, rel_tol=1e-9)
+        assert_valid_cells(tess)
+
+    def test_cover_cap_raises_before_building(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(hupa.tessellation, "_initial_triangulation",
+                            lambda *args: calls.append(args))
+        with pytest.raises(TessellationError, match="2x5001 covering torus"):
+            voronoi(make_pattern([[1.0, 0.5]], (5000.0, 1.0)))
+        assert calls == []
+
+
+def assert_same_cells(a, b):
+    assert len(a.cells) == len(b.cells)
+    for ca, cb in zip(a.cells, b.cells):
+        assert ca.generator == cb.generator
+        assert math.isclose(ca.area, cb.area, rel_tol=1e-9)
+        assert ca.sides == cb.sides
+        assert sorted(ca.neighbors) == sorted(cb.neighbors)
+        gaps = np.hypot(*(ca.polygon[:, None, :] - cb.polygon[None, :, :]).T)
+        assert np.all(gaps.min(axis=0) <= 1e-9)
+        assert np.all(gaps.min(axis=1) <= 1e-9)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(n=st.integers(6, 40), seed=st.integers(0, 2**32 - 1))
+def test_cover_matches_one_sheet(n, seed):
+    # the Voronoi diagram does not depend on which torus it is built on
+    lengths = (9.0, 6.0)
+    rng = np.random.default_rng(seed)
+    pat = make_pattern(rng.uniform(0.0, 1.0, size=(n, 2)) * lengths, lengths)
+    try:
+        one_sheet = hupa.tessellation._voronoi_dual(pat)
+    except hupa.tessellation._TooSparseError:
+        return
+    assert_same_cells(hupa.tessellation._voronoi_cover(pat), one_sheet)
 
 
 class TestCellStatistics:
