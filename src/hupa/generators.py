@@ -3,8 +3,9 @@
 Four recipes: fully random (Poisson), perfect lattices (square, triangular,
 cubic), independently jittered lattices (disordered but with lattice-grade
 large-scale density control), and hard-core packings built by random
-sequential addition.  Every generator is a pure function of its parameters
-and a 64-bit seed; identical inputs give bit-identical patterns.
+sequential addition, one tree-narrowed loop whose memory grows with the
+centers placed.  Every generator is a pure function of its parameters and a
+64-bit seed; identical inputs give bit-identical patterns.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import IncommensurateBoxError, TargetUnreachableError
 from .pattern import BoxDomain, PointPattern, wrap_point
@@ -23,6 +25,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 
 LATTICE_KINDS = ("square", "triangular", "cubic")
 _DEFAULT_LATTICE = {2: "square", 3: "cubic"}  # by box dimension
+_RSA_BATCH = 256  # fewest RSA candidates drawn per batch
 
 
 def validate_seed(seed) -> int:
@@ -173,42 +176,6 @@ def _rsa_target_count(box: BoxDomain, hard_radius: float, count, fraction) -> in
     return round(fraction * box.volume / grain)
 
 
-class _CellGrid:
-    """Uniform-grid neighbor lookup with cell edge >= one exclusion diameter.
-
-    Correctness is owned by the distance test against the returned
-    candidates; the grid only narrows the candidate set.
-    """
-
-    def __init__(self, box: BoxDomain, min_dist: float):
-        L = box.lengths_array()
-        self.ncells = np.maximum(1, np.floor(L / min_dist).astype(int))
-        self.cell_size = L / self.ncells
-        self.cells: dict[tuple, list[int]] = {}
-        dim = box.dim
-        shifts = np.stack(np.meshgrid(*([[-1, 0, 1]] * dim), indexing="ij"),
-                          axis=-1).reshape(-1, dim)
-        self.shifts = shifts
-
-    def key(self, p) -> tuple:
-        return tuple(np.minimum((p // self.cell_size).astype(int), self.ncells - 1))
-
-    def neighbors(self, p) -> list[int]:
-        base = np.asarray(self.key(p))
-        out = []
-        seen = set()
-        for s in self.shifts:
-            k = tuple((base + s) % self.ncells)
-            if k in seen:
-                continue
-            seen.add(k)
-            out.extend(self.cells.get(k, ()))
-        return out
-
-    def insert(self, p, idx: int) -> None:
-        self.cells.setdefault(self.key(p), []).append(idx)
-
-
 def generate_rsa_packing(box: BoxDomain, hard_radius: float, *,
                          count: int | None = None,
                          fraction: float | None = None,
@@ -220,6 +187,11 @@ def generate_rsa_packing(box: BoxDomain, hard_radius: float, *,
     periodic distance to every accepted center is >= 2 * hard_radius.  Stops
     at the target count, or raises TargetUnreachableError (carrying the
     partial count) after max_attempts consecutive rejections.
+
+    Candidates are drawn in batches, which gives the same stream as single
+    draws; one periodic KD-tree per batch narrows each one's neighbours, and
+    the accept test runs in draw order, so batching never changes the output.
+    Memory grows with the centers placed, not with the target.
     """
     seed = validate_seed(seed)
     r = float(hard_radius)
@@ -232,30 +204,37 @@ def generate_rsa_packing(box: BoxDomain, hard_radius: float, *,
     L = box.lengths_array()
     min_dist = 2.0 * r
     min_dist_sq = min_dist * min_dist
-    use_grid = bool(np.all(np.floor(L / min_dist) >= 4))
-    grid = _CellGrid(box, min_dist) if use_grid else None
-
-    accepted = np.empty((target, box.dim))
-    n = 0
+    reach = min_dist * (1.0 + 1e-9)  # the tree only narrows; min_dist_sq decides
+    accepted = np.empty((0, box.dim))
     rejections = 0
-    while n < target:
-        if rejections >= max_attempts:
-            raise TargetUnreachableError(n, target, max_attempts)
-        cand = wrap_point(rng.random(box.dim) * L, box)
-        if n:
-            idx = grid.neighbors(cand) if use_grid else slice(None)
-            others = accepted[:n][idx] if use_grid else accepted[:n]
-            if len(others):
-                d = np.abs(others - cand)
-                d = np.minimum(d, L - d)
-                if np.min(np.einsum("ij,ij->i", d, d)) < min_dist_sq:
-                    rejections += 1
-                    continue
-        accepted[n] = cand
-        if use_grid:
-            grid.insert(cand, n)
-        n += 1
-        rejections = 0
+    while len(accepted) < target:
+        n = len(accepted)
+        # A batch as large as the packing spreads each tree build over at
+        # least as many draws as the tree holds points.
+        draws = rng.random((max(_RSA_BATCH, n), box.dim))
+        pts = np.concatenate([accepted, wrap_point(draws * L, box)])
+        a, b = cKDTree(pts, boxsize=L).query_pairs(reach, output_type="ndarray").T
+        d = np.abs(pts[a] - pts[b])  # a < b: point a came first
+        d = np.minimum(d, L - d)
+        hit = np.einsum("ij,ij->i", d, d) < min_dist_sq
+        blocked = set(b[hit & (a < n)].tolist())  # by points placed before
+        later: dict[int, list[int]] = {}  # candidate -> later ones it blocks
+        own = hit & (a >= n)
+        for i, k in zip(a[own].tolist(), b[own].tolist()):
+            later.setdefault(i, []).append(k)
+        kept = []
+        for i in range(n, len(pts)):
+            if rejections >= max_attempts:
+                raise TargetUnreachableError(n + len(kept), target, max_attempts)
+            if i in blocked:
+                rejections += 1
+                continue
+            kept.append(i)
+            rejections = 0
+            if n + len(kept) == target:
+                break
+            blocked.update(later.get(i, ()))
+        accepted = np.concatenate([accepted, pts[kept]])
 
     kind = "fraction" if fraction is not None else "count"
     val = fraction if fraction is not None else count

@@ -393,12 +393,8 @@ def _finish_triangulation(pattern: PointPattern, triangles) -> Triangulation:
 
 def _validate_triangulation(tri: Triangulation):
     pattern = tri.pattern
-    n = len(pattern)
-    if not _check_structure(dict(enumerate(tri.triangles)), tri.edge_map, n):
+    if not _check_structure(dict(enumerate(tri.triangles)), tri.edge_map, len(pattern)):
         raise TessellationError("triangulation violates the torus edge structure")
-    # V - E + F = 0 on the torus, with E = 3N and F = 2N.
-    if n - tri.n_edges + tri.n_faces != 0:
-        raise TessellationError("triangulation violates the Euler relation")
     limit = pattern.box.min_length / 2.0
     if float(tri.circumradii.max()) >= limit:
         raise _TooSparseError(
@@ -489,7 +485,12 @@ def _voronoi_cover(pattern: PointPattern) -> Tessellation:
               for cx in range(reps[0]) for cy in range(reps[1])]
     cover = PointPattern(box=cover_box,
                          points=wrap_point(np.vstack(copies), cover_box))
-    built = _voronoi_dual(cover).cells[:n]
+    try:
+        built = _voronoi_dual(cover).cells[:n]
+    except TessellationError as err:
+        raise TessellationError(
+            f"could not tessellate {n} points in the {lengths[0]:g}x{lengths[1]:g} "
+            f"box on its {reps[0]}x{reps[1]} covering torus: {err}") from err
 
     corners = np.vstack([c.polygon for c in built])
     wrapped = wrap_point(corners, box)

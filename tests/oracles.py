@@ -187,6 +187,36 @@ def voronoi_cell_faults(points, lengths, generator, polygon, neighbors,
     return faults
 
 
+def rsa_reference(lengths, hard_radius, target, max_attempts, seed):
+    """Random sequential addition one draw at a time, each candidate tested
+    against every accepted center.
+
+    Returns the (target, dim) array of centers, or ("unreachable", placed)
+    once max_attempts consecutive candidates are rejected.
+    """
+    L = np.asarray(lengths, dtype=float)
+    rng = np.random.default_rng(seed)
+    min_dist = 2.0 * float(hard_radius)
+    min_dist_sq = min_dist * min_dist
+    accepted = np.empty((0, len(L)))
+    rejections = 0
+    while len(accepted) < target:
+        if rejections >= max_attempts:
+            return ("unreachable", len(accepted))
+        cand = rng.random(len(L)) * L
+        cand = cand - np.floor(cand / L) * L  # into [0, L)
+        cand = np.where(cand >= L, 0.0, cand)
+        if len(accepted):
+            d = np.abs(accepted - cand)
+            d = np.minimum(d, L - d)
+            if np.min(np.einsum("ij,ij->i", d, d)) < min_dist_sq:
+                rejections += 1
+                continue
+        accepted = np.vstack([accepted, cand])
+        rejections = 0
+    return accepted
+
+
 def poisson_cdf(k: int, lam: float) -> float:
     """P(X <= k) for X ~ Poisson(lam), by direct summation."""
     term = math.exp(-lam)

@@ -88,6 +88,17 @@ class TestGenerate:
         assert code == 1
         assert "error:" in stderr
 
+    def test_rsa_huge_count_fails_cleanly(self, capsys, tmp_path):
+        # a target far beyond memory: only the centers placed are stored
+        code, _, stderr = run(
+            capsys, "generate", "rsa_packing", "--box", "10x10",
+            "--hard-radius", "0.1", "--count", "100000000000",
+            "--max-attempts", "200", "-o", str(tmp_path / "r.pat"))
+        assert code == 1
+        assert ("error: placed 1395 of 100000000000 centers before hitting "
+                "200 consecutive rejections") in stderr
+        assert not (tmp_path / "r.pat").exists()
+
     def test_flag_mixups_are_usage_errors(self, capsys, tmp_path):
         code, _, _ = run(capsys, "generate", "poisson", "--box", "8x8",
                          "--rho", "1", "--spacing", "2",

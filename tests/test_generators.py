@@ -1,15 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hupa.generators
 from hupa import (GENERATOR_KINDS, BoxDomain, GeneratorSpec,
                   IncommensurateBoxError,
                   TargetUnreachableError, derive_seed, ensemble, generate,
                   generate_lattice, generate_perturbed_lattice,
                   generate_poisson, generate_rsa_packing, periodic_distance)
 from hupa.generators import GENERATORS
-from oracles import chi_square_sf, periodic_dist, poisson_cdf
+from oracles import chi_square_sf, periodic_dist, poisson_cdf, rsa_reference
 
 TRI_HEIGHT = math.sqrt(3) / 2
 
@@ -214,9 +218,9 @@ class TestRsaPacking:
             generate_rsa_packing(box, 0.5, count=3, fraction=0.1, seed=1)
 
     def test_grid_matches_bruteforce_acceptance(self):
-        # same seed, small box: the grid-accelerated result must equal a
-        # brute-force rerun done through the same public call (grid path
-        # activates only when >= 4 cells per axis fit)
+        # a roomy box and one under 4 exclusion diameters per axis, where
+        # the tree returns every accepted center: both must keep the
+        # hard core
         box = BoxDomain(lengths=(20.0, 20.0))
         p = generate_rsa_packing(box, 0.5, count=50, seed=10)
         box_small = BoxDomain(lengths=(3.5, 3.5))
@@ -233,6 +237,85 @@ class TestRsaPacking:
         a = generate_rsa_packing(box, 0.5, fraction=0.1, seed=11)
         b = generate_rsa_packing(box, 0.5, fraction=0.1, seed=11)
         assert np.array_equal(a.points, b.points)
+
+    @pytest.mark.parametrize("batch", [1, 7, hupa.generators._RSA_BATCH])
+    def test_batch_size_does_not_change_output(self, monkeypatch, batch):
+        monkeypatch.setattr(hupa.generators, "_RSA_BATCH", batch)
+        cases = [((12.0, 12.0), 0.5, dict(fraction=0.35), 3),
+                 ((6.0, 6.0, 6.0), 0.5, dict(fraction=0.2), 4),
+                 ((3.5, 3.5), 0.5, dict(count=12, max_attempts=40), 5)]
+        for lengths, r, kw, seed in cases:
+            box = BoxDomain(lengths=lengths)
+            target = rsa_target(box, r, kw)
+            got = rsa_outcome(box, r, seed, kw)
+            want = rsa_reference(lengths, r, target, kw.get("max_attempts", 10_000),
+                                 seed)
+            assert_same_outcome(got, want, target)
+
+    def test_huge_count_memory_grows_with_placed(self):
+        # the target is never allocated: 1e11 centers would need 1.5 TiB
+        box = BoxDomain(lengths=(10.0, 10.0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TargetUnreachableError) as err:
+                generate_rsa_packing(box, 0.1, count=10**11, max_attempts=200,
+                                     seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert err.value.target == 10**11
+        assert ("unreachable", err.value.placed) == rsa_reference(
+            box.lengths, 0.1, 10**11, 200, 0)
+
+
+def rsa_target(box, r, kw):
+    if "count" in kw:
+        return kw["count"]
+    grain = math.pi * r ** 2 if box.dim == 2 else 4.0 / 3.0 * math.pi * r ** 3
+    return round(kw["fraction"] * box.volume / grain)
+
+
+def rsa_outcome(box, r, seed, kw):
+    try:
+        return generate_rsa_packing(box, r, seed=seed, **kw).points
+    except TargetUnreachableError as err:
+        return ("unreachable", err.placed, err.target)
+
+
+def assert_same_outcome(got, want, target):
+    if isinstance(want, tuple):
+        assert got == want + (target,)
+    else:
+        assert not isinstance(got, tuple), got
+        assert np.array_equal(got, want)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(lengths=st.lists(st.sampled_from([1.0, 2.5, 3.5, 6.0, 9.0]),
+                        min_size=2, max_size=3),
+       share=st.floats(0.05, 1.1),
+       count=st.one_of(st.none(), st.integers(0, 60)),
+       fill=st.floats(0.01, 1.0),
+       max_attempts=st.integers(1, 600),
+       seed=st.integers(0, 2**32 - 1))
+def test_rsa_matches_one_draw_reference(lengths, share, count, fill,
+                                        max_attempts, seed):
+    # r / min(L) = share covers boxes under 4 exclusion diameters (share >
+    # 1/8) and r >= L/2 (share >= 1/2); max_attempts spans the batch size
+    box = BoxDomain(lengths=tuple(lengths))
+    r = share * min(lengths)
+    if count is None:
+        grain = math.pi * r ** 2 if box.dim == 2 else 4.0 / 3.0 * math.pi * r ** 3
+        cap = 0.5 if box.dim == 2 else 0.3
+        kw = dict(fraction=min(fill * cap, 60 * grain / box.volume))
+    else:
+        kw = dict(count=count)
+    kw["max_attempts"] = max_attempts
+    target = rsa_target(box, r, kw)
+    assert_same_outcome(rsa_outcome(box, r, seed, kw),
+                        rsa_reference(lengths, r, target, max_attempts, seed),
+                        target)
 
 
 class TestEnsemble:

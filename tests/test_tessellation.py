@@ -298,6 +298,17 @@ class TestCoveringTorus:
             voronoi(make_pattern([[1.0, 0.5]], (5000.0, 1.0)))
         assert calls == []
 
+    def test_cover_failure_names_the_users_box(self, monkeypatch):
+        def too_sparse(pattern):
+            raise hupa.tessellation._TooSparseError("hull structure failed")
+        monkeypatch.setattr(hupa.tessellation, "_voronoi_dual", too_sparse)
+        with pytest.raises(TessellationError) as err:
+            voronoi(make_pattern([[1.0, 2.0], [4.0, 3.0], [7.0, 5.0]], (9.0, 6.0)))
+        assert type(err.value) is TessellationError
+        assert "3 points in the 9x6 box on its 2x2 covering torus" in str(err.value)
+        assert "hull structure failed" in str(err.value)
+        assert isinstance(err.value.__cause__, hupa.tessellation._TooSparseError)
+
 
 def assert_same_cells(a, b):
     assert len(a.cells) == len(b.cells)
