@@ -46,6 +46,17 @@ def _min_int(lo: int):
     return parse
 
 
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("must be a positive finite number")
+    return value
+
+
 def _u64(text: str) -> int:
     value = _min_int(0)(text)
     if value >= 2 ** 64:
@@ -113,8 +124,6 @@ def _load_input_field(args, magic: bytes) -> BinaryField:
         raise _Usage("grayscale input requires --threshold")
     field = load_field(args.input, threshold=args.threshold)
     if args.pixel_size is not None:
-        if args.pixel_size <= 0:
-            raise _Usage("--pixel-size must be positive")
         ny, nx = field.bits.shape
         box = BoxDomain(lengths=(nx * args.pixel_size, ny * args.pixel_size))
         field = BinaryField(box=box, bits=field.bits,
@@ -190,7 +199,7 @@ def _add_sweep(sub, common, name, summary, description, input_help):
                    help="largest radius used in the scaling fit")
     p.add_argument("--threshold", type=int, default=None,
                    help="grayscale images: values <= threshold are dark")
-    p.add_argument("--pixel-size", type=float, default=None,
+    p.add_argument("--pixel-size", type=_positive_float, default=None,
                    help="images: model length of one pixel edge (default 1)")
     p.set_defaults(handler=cmd_sweep, default_out=name)
 
@@ -275,7 +284,7 @@ def _add_tessellate(sub, common):
                    default="voronoi", help="tessellation rule")
     p.add_argument("--svg", action="store_true",
                    help="also write an SVG rendering")
-    p.add_argument("--scale", type=float, default=DEFAULT_SCALE,
+    p.add_argument("--scale", type=_positive_float, default=DEFAULT_SCALE,
                    help="SVG pixels per model unit")
     p.set_defaults(handler=cmd_tessellate, default_out="tess.txt")
 
@@ -327,7 +336,7 @@ def _add_render(sub, common):
                     "point plus the box outline.",
     )
     p.add_argument("input", help="pattern file")
-    p.add_argument("--scale", type=float, default=DEFAULT_SCALE,
+    p.add_argument("--scale", type=_positive_float, default=DEFAULT_SCALE,
                    help="SVG pixels per model unit")
     p.set_defaults(handler=cmd_render, default_out="render.svg")
 
@@ -336,8 +345,6 @@ def cmd_render(args) -> int:
     pattern = load_pattern(args.input)
     if pattern.box.dim != 2:
         raise HupaError("only 2D patterns can be rendered")
-    if args.scale <= 0:
-        raise _Usage("--scale must be positive")
     out = _resolve_out(args, args.default_out)
     _write_text(out, render_pattern(pattern, args.scale))
     print(out)

@@ -11,6 +11,16 @@ stage produced, flipping runs until every edge passes the exact
 (symbolically perturbed) circumcircle test, which pins down a unique
 triangulation for any input without coincident points.
 
+One half-edge table holds the torus edge structure.  Its key (i, (j, d))
+is the directed edge from point i at offset (0, 0) to point j at offset d,
+so j is given in i's frame; its value (triangle, shift, w) names the CCW
+triangle (i, j, w) to the left of that edge, the shift that moves the
+triangle into i's frame, and its third vertex w in i's frame.  The twin of
+(i, (j, d)) is (j, (i, -d)), and the half-edge with (i, (0, 0)) < (j, d)
+keys the edge.  The table is built once from the hull candidate, checked,
+kept in step by the flip pass, renumbered with the sorted triangles and
+read by validation and the Voronoi walk, which follows w around i.
+
 The Voronoi tessellation is read off as the dual.  A pattern with fewer
 than three points, or too sparse for a triangulation of its own box, is
 tessellated the same way on a covering torus of box copies, and the cells
@@ -20,8 +30,7 @@ of the first copy are folded back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 import numpy as np
@@ -63,10 +72,6 @@ def _oneg(a: Offset) -> Offset:
     return (-a[0], -a[1])
 
 
-def _lexpos(o: Offset) -> bool:
-    return o > (0, 0)
-
-
 def _unroll(pts: np.ndarray, lengths, v: Vertex):
     i, (ox, oy) = v
     return (pts[i, 0] + ox * lengths[0], pts[i, 1] + oy * lengths[1])
@@ -104,46 +109,35 @@ def _canonical_triangle(verts, pts, lengths):
     return tuple(shifted)
 
 
-def _shift_triangle(tri, shift: Offset):
-    return tuple((b, _oadd(o, shift)) for b, o in tri)
+def _half_edges(tid: int, tri):
+    """(key, value) of the three half-edges of the CCW triangle tri."""
+    for p in range(3):
+        (i, oi), (j, oj), (k, ok) = tri[p], tri[p - 2], tri[p - 1]
+        yield (i, (j, _osub(oj, oi))), (tid, _oneg(oi), (k, _osub(ok, oi)))
 
 
-def _edge_key_for(a: Vertex, b: Vertex):
-    """Canonical undirected key of the torus edge a-b, plus the shift that
-    moves this occurrence into the key's frame and which side of the key
-    direction the left face lies on (0 = this directed edge runs with the
-    key, 1 = against it)."""
-    (ia, oa), (ib, ob) = a, b
-    delta = _osub(ob, oa)
-    if ia < ib or (ia == ib and _lexpos(delta)):
-        return (ia, ib, delta), _oneg(oa), 0
-    if ia > ib or (ia == ib and _lexpos(_oneg(delta))):
-        return (ib, ia, _oneg(delta)), _oneg(ob), 1
-    raise TessellationError("edge joins a vertex image to itself")
+def _half_edge_table(tris: dict) -> dict:
+    """The half-edge table of tris, as described in the module docstring."""
+    return dict(entry for tid, tri in tris.items()
+                for entry in _half_edges(tid, tri))
 
 
-def _triangle_edge_entries(tid: int, tri):
-    for t in range(3):
-        key, shift, side = _edge_key_for(tri[t], tri[(t + 1) % 3])
-        yield key, (tid, shift, side)
+def _twin(h):
+    i, (j, delta) = h
+    return (j, (i, _oneg(delta)))
 
 
-def _build_edge_map(tris: dict):
-    edge_map: dict = {}
-    for tid, tri in tris.items():
-        for key, entry in _triangle_edge_entries(tid, tri):
-            edge_map.setdefault(key, []).append(entry)
-    return edge_map
+def _is_edge_key(h) -> bool:
+    """True for the half-edge (i, u) that keys its edge: (i, (0, 0)) < u."""
+    return (h[0], (0, 0)) < h[1]
 
 
-def _check_structure(tris: dict, edge_map: dict, n_points: int) -> bool:
-    if len(tris) != 2 * n_points or len(edge_map) != 3 * n_points:
-        return False
-    for entries in edge_map.values():
-        if len(entries) != 2 or entries[0][2] + entries[1][2] != 1:
-            return False
-    used = {b for tri in tris.values() for b, _ in tri}
-    return used == set(range(n_points))
+def _check_structure(tris, table: dict, n_points: int) -> bool:
+    """F = 2N faces, no half-edge claimed twice (6N distinct), every
+    half-edge has its twin, and every point is a vertex."""
+    return (len(tris) == 2 * n_points and len(table) == 6 * n_points
+            and all(_twin(h) in table for h in table)
+            and {i for i, _ in table} == set(range(n_points)))
 
 
 def _initial_triangulation(pattern: PointPattern, ranks: np.ndarray, eta: float):
@@ -154,50 +148,46 @@ def _initial_triangulation(pattern: PointPattern, ranks: np.ndarray, eta: float)
     for every copy; the exact flip pass afterwards removes any remaining
     dependence on this stage.  The heights are strictly convex in the rank:
     on a lattice the rank is affine in the site index, and affine heights
-    would leave every lifted cocircular quad coplanar.
+    would leave every lifted cocircular quad coplanar.  The paraboloid is
+    centred on the box, which keeps the lifted coordinate small on long
+    covering tori.
     """
     pts = pattern.points
     lengths = pattern.box.lengths
+    size = pattern.box.lengths_array()
     n = len(pts)
-    tiles = [pts + np.array(off, dtype=float) * pattern.box.lengths_array()
-             for off in _TILE_OFFSETS]
-    ghost = np.vstack(tiles)
+    ghost = np.vstack([pts + np.array(off, dtype=float) * size
+                       for off in _TILE_OFFSETS])
     heights = eta * (ranks + 1.0) * (ranks + 2.0) / n
+    rel = ghost - size / 2.0
     lifted = np.column_stack([
         ghost[:, 0], ghost[:, 1],
-        ghost[:, 0] ** 2 + ghost[:, 1] ** 2 + np.tile(heights, len(_TILE_OFFSETS)),
+        rel[:, 0] ** 2 + rel[:, 1] ** 2 + np.tile(heights, len(_TILE_OFFSETS)),
     ])
     hull = ConvexHull(lifted, qhull_options="Qt")
-    lower = hull.equations[:, 2] < -1e-12
-    tris: dict = {}
-    seen = set()
-    for simplex in hull.simplices[lower]:
-        gx = ghost[simplex, 0]
-        gy = ghost[simplex, 1]
-        cx = gx.mean()
-        cy = gy.mean()
-        if not (0.0 <= cx < lengths[0] and 0.0 <= cy < lengths[1]):
-            continue
-        verts = [(int(g % n), _TILE_OFFSETS[int(g // n)]) for g in simplex]
-        tri = _canonical_triangle(verts, pts, lengths)
-        if tri not in seen:
-            seen.add(tri)
-            tris[len(tris)] = tri
-    return tris
+    lower = hull.simplices[hull.equations[:, 2] < -1e-12]
+    centroids = ghost[lower].mean(axis=1)
+    kept = lower[np.all((centroids >= 0.0) & (centroids < size), axis=1)]
+    tris = dict.fromkeys(
+        _canonical_triangle([(b, _TILE_OFFSETS[t]) for b, t in zip(bs, ts)],
+                            pts, lengths)
+        for bs, ts in zip((kept % n).tolist(), (kept // n).tolist()))
+    return dict(enumerate(tris))
 
 
-def _flip_to_delaunay(tris: dict, edge_map: dict, pattern: PointPattern,
+def _flip_to_delaunay(tris: dict, table: dict, pattern: PointPattern,
                       ranks: np.ndarray) -> tuple:
     """Lawson's edge-flip loop with exact, symbolically perturbed tests.
 
-    Flips tris in place with edge_map in step; returns the sorted triangles.
+    Flips tris in place with their half-edge table in step; returns the
+    sorted triangles, with the table renumbered to match.
 
-    Every edge is examined in its own canonical frame, so a given torus
-    edge always sees the same floating-point coordinates no matter which
-    triangle pair brought it up; that keeps decisions consistent across
-    periodic copies.  Terminates because each convex flip strictly lowers
-    the lifted surface; the sweep cap turns any failure of that argument
-    into an error instead of a hang.
+    Every edge is examined in the frame of its key's first vertex, so a
+    given torus edge always sees the same floating-point coordinates no
+    matter which triangle pair brought it up; that keeps decisions
+    consistent across periodic copies.  Terminates because each convex
+    flip strictly lowers the lifted surface; the sweep cap turns any
+    failure of that argument into an error instead of a hang.
     """
     pts = pattern.points
     lengths = pattern.box.lengths
@@ -205,32 +195,24 @@ def _flip_to_delaunay(tris: dict, edge_map: dict, pattern: PointPattern,
     max_sweeps = 64 + 2 * len(pattern)
     for _ in range(max_sweeps):
         flipped_any = False
-        for key in sorted(edge_map.keys()):
-            entries = edge_map.get(key)
-            if entries is None or len(entries) != 2:
-                if entries is None:
-                    continue
+        for h in sorted(filter(_is_edge_key, table)):
+            left = table.get(h)
+            right = table.get(_twin(h))
+            if left is None or right is None:
+                if left is None and right is None:
+                    continue  # flipped away earlier in this sweep
                 raise TessellationError("inconsistent edge structure during flips")
-            e_left = next(e for e in entries if e[2] == 0)
-            e_right = next(e for e in entries if e[2] == 1)
-            if e_left[0] == e_right[0] and e_left[1] == e_right[1]:
-                # A face glued to itself across this edge cannot be flipped.
-                continue
-            i, j, delta = key
+            # Two CCW triangles on opposite sides of the edge: they differ,
+            # and so do c and d, which the right entry gives in j's frame.
+            i, (j, delta) = h
+            t_left, _, vc = left
+            t_right, _, (d, od) = right
+            vd = (d, _oadd(od, delta))
             va: Vertex = (i, (0, 0))
             vb: Vertex = (j, delta)
-            tri_l = _shift_triangle(tris[e_left[0]], e_left[1])
-            tri_r = _shift_triangle(tris[e_right[0]], e_right[1])
-            vc = next(v for v in tri_l if v != va and v != vb)
-            vd = next(v for v in tri_r if v != va and v != vb)
-            if vc == vd:
-                continue
-            pa = _unroll(pts, lengths, va)
-            pb = _unroll(pts, lengths, vb)
-            pc = _unroll(pts, lengths, vc)
-            pd = _unroll(pts, lengths, vd)
+            pa, pb, pc, pd = (_unroll(pts, lengths, v) for v in (va, vb, vc, vd))
             s = incircle_perturbed(pa, pb, pc, pd,
-                                   (ranks[i], ranks[j], ranks[vc[0]], ranks[vd[0]]))
+                                   (ranks[i], ranks[j], ranks[vc[0]], ranks[d]))
             if s == 0:
                 raise TessellationError(
                     "unresolved degeneracy after symbolic perturbation"
@@ -241,21 +223,21 @@ def _flip_to_delaunay(tris: dict, edge_map: dict, pattern: PointPattern,
             if (orient2d(pa, pd, pb) <= 0 or orient2d(pd, pb, pc) <= 0
                     or orient2d(pb, pc, pa) <= 0 or orient2d(pc, pa, pd) <= 0):
                 continue
-            for tid in (e_left[0], e_right[0]):
-                for k, entry in _triangle_edge_entries(tid, tris[tid]):
-                    edge_map[k].remove(entry)
-                    if not edge_map[k]:
-                        del edge_map[k]
-                del tris[tid]
+            for tid in (t_left, t_right):
+                for key, _ in _half_edges(tid, tris.pop(tid)):
+                    del table[key]
             for verts in ((va, vd, vc), (vd, vb, vc)):
                 tri = _canonical_triangle(list(verts), pts, lengths)
                 tris[next_tid] = tri
-                for k, entry in _triangle_edge_entries(next_tid, tri):
-                    edge_map.setdefault(k, []).append(entry)
+                table.update(_half_edges(next_tid, tri))
                 next_tid += 1
             flipped_any = True
         if not flipped_any:
-            return tuple(sorted(tris.values()))
+            order = sorted(tris, key=tris.__getitem__)
+            renumber = {tid: k for k, tid in enumerate(order)}
+            for h, (tid, shift, w) in table.items():
+                table[h] = (renumber[tid], shift, w)
+            return tuple(tris[tid] for tid in order)
     raise TessellationError("edge-flip pass did not converge")
 
 
@@ -266,6 +248,8 @@ class Triangulation:
     triangles holds canonical (index, offset) triples, CCW.  circumcenters
     and areas are per-triangle, evaluated in each triangle's canonical
     frame (so circumcenters may fall slightly outside the box).
+    half_edges is their half-edge table (see the module docstring): 6N
+    entries, two per edge, kept in step by the flip pass.
     """
 
     pattern: PointPattern
@@ -273,6 +257,7 @@ class Triangulation:
     circumcenters: np.ndarray
     circumradii: np.ndarray
     areas: np.ndarray
+    half_edges: dict = field(repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("circumcenters", "circumradii", "areas"):
@@ -290,15 +275,13 @@ class Triangulation:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edge_map)
+        return len(self.half_edges) // 2
 
     def edge_keys(self) -> list:
-        return sorted(self.edge_map)
-
-    @cached_property
-    def edge_map(self) -> dict:
-        """_build_edge_map of the triangles, built once and then shared."""
-        return _build_edge_map(dict(enumerate(self.triangles)))
+        """Sorted (i, j, delta) keys, one per edge: j's image at offset
+        delta is joined to point i, with (i, (0, 0)) < (j, delta)."""
+        return [(i, j, delta) for i, (j, delta)
+                in sorted(filter(_is_edge_key, self.half_edges))]
 
 
 @dataclass(frozen=True)
@@ -358,42 +341,38 @@ def delaunay(pattern: PointPattern) -> Triangulation:
     eta = _LIFT_ETA_FACTOR * pattern.box.min_length ** 2
     for attempt in range(3):
         tris = _initial_triangulation(pattern, ranks, eta * 100.0 ** attempt)
-        edge_map = _build_edge_map(tris)
-        if _check_structure(tris, edge_map, n):
+        table = _half_edge_table(tris)
+        if _check_structure(tris, table, n):
             break
     else:
         raise _TooSparseError(
             "could not assemble a consistent periodic triangulation; a "
             "triangle may span more than one box period"
         )
-    triangles = _flip_to_delaunay(tris, edge_map, pattern, ranks)
-    del tris, edge_map  # freed before validation builds the final map
-    tri_obj = _finish_triangulation(pattern, triangles)
-    _validate_triangulation(tri_obj)
-    return tri_obj
-
-
-def _finish_triangulation(pattern: PointPattern, triangles) -> Triangulation:
+    triangles = _flip_to_delaunay(tris, table, pattern, ranks)
     pts = pattern.points
     lengths = pattern.box.lengths
     centers = np.empty((len(triangles), 2))
     radii = np.empty(len(triangles))
     areas = np.empty(len(triangles))
-    for t, tri in enumerate(triangles):
-        a, b, c = (_unroll(pts, lengths, v) for v in tri)
+    for t, verts in enumerate(triangles):
+        a, b, c = (_unroll(pts, lengths, v) for v in verts)
         cc = circumcenter(a, b, c)
         centers[t] = cc
         radii[t] = math.hypot(cc[0] - a[0], cc[1] - a[1])
         areas[t] = 0.5 * abs(
             (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
         )
-    return Triangulation(pattern=pattern, triangles=triangles,
-                         circumcenters=centers, circumradii=radii, areas=areas)
+    tri = Triangulation(pattern=pattern, triangles=triangles,
+                        circumcenters=centers, circumradii=radii, areas=areas,
+                        half_edges=table)
+    _validate_triangulation(tri)
+    return tri
 
 
 def _validate_triangulation(tri: Triangulation):
     pattern = tri.pattern
-    if not _check_structure(dict(enumerate(tri.triangles)), tri.edge_map, len(pattern)):
+    if not _check_structure(tri.triangles, tri.half_edges, len(pattern)):
         raise TessellationError("triangulation violates the torus edge structure")
     limit = pattern.box.min_length / 2.0
     if float(tri.circumradii.max()) >= limit:
@@ -425,21 +404,25 @@ def circumcircle_violations(tri: Triangulation,
     return violations
 
 
-def _degenerate_edges(tri: Triangulation, tol: float) -> set:
+def _degenerate_edges(tri: Triangulation, tol: float):
     """Edges whose two adjacent circumcenters coincide (cocircular quads).
 
-    Decided once per edge in the edge's own frame, so both incident cells
-    later agree on whether the dual edge has zero length.
+    Decided once per edge in the frame of its key's first vertex, so both
+    incident cells later agree on whether the dual edge has zero length.
+    Returns the set of degenerate half-edges, both directions, and the
+    (left, right) triangle pairs across them as an (m, 2) array.
     """
+    table = tri.half_edges
+    keys = list(filter(_is_edge_key, table))
+    ends = [(table[h], table[_twin(h)], h[1][1]) for h in keys]
+    pairs = np.array([(left[0], right[0]) for left, right, _ in ends])
+    shifts = np.array([(*left[1], *_oadd(right[1], d)) for left, right, d in ends])
     lengths = np.asarray(tri.pattern.box.lengths)
-    degenerate = set()
-    for key, entries in tri.edge_map.items():
-        (t0, s0, _), (t1, s1, _) = entries
-        c0 = tri.circumcenters[t0] + np.asarray(s0) * lengths
-        c1 = tri.circumcenters[t1] + np.asarray(s1) * lengths
-        if float(np.hypot(*(c0 - c1))) <= tol:
-            degenerate.add(key)
-    return degenerate
+    c0 = tri.circumcenters[pairs[:, 0]] + shifts[:, :2] * lengths
+    c1 = tri.circumcenters[pairs[:, 1]] + shifts[:, 2:] * lengths
+    hit = np.hypot(*(c0 - c1).T) <= tol
+    degenerate = {h for h, flag in zip(keys, hit.tolist()) if flag}
+    return degenerate | {_twin(h) for h in degenerate}, pairs[hit]
 
 
 def voronoi(pattern: PointPattern) -> Tessellation:
@@ -516,89 +499,68 @@ def _voronoi_cover(pattern: PointPattern) -> Tessellation:
 
 
 def _voronoi_dual(pattern: PointPattern) -> Tessellation:
+    # scipy.sparse.csgraph is imported here, not at module level, so it
+    # stays off the start-up of every command
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     tri = delaunay(pattern)
+    table = tri.half_edges
     lengths = np.asarray(pattern.box.lengths)
     tol = MERGE_TOL_FACTOR * pattern.box.min_length
-    degenerate = _degenerate_edges(tri, tol)
+    degenerate, joined = _degenerate_edges(tri, tol)
 
-    # Union circumcenters across degenerate edges; the class representative
-    # (smallest triangle id) owns the row in the shared vertex table.
-    parent = list(range(len(tri.triangles)))
+    # Circumcenters joined across degenerate edges share one row of the
+    # vertex table.  connected_components numbers the classes in order of
+    # their smallest triangle id, which is also the row order.
+    graph = coo_matrix((np.ones(len(joined)), (joined[:, 0], joined[:, 1])),
+                       shape=(len(tri.triangles),) * 2)
+    _, labels = connected_components(graph, directed=False)
+    first = np.unique(labels, return_index=True)[1]
+    vertices = wrap_point(tri.circumcenters[first], pattern.box)
+    rows = labels.tolist()
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for key in degenerate:
-        (t0, _, _), (t1, _, _) = tri.edge_map[key]
-        r0, r1 = find(t0), find(t1)
-        if r0 != r1:
-            parent[max(r0, r1)] = min(r0, r1)
-
-    reps = sorted({find(t) for t in range(len(tri.triangles))})
-    rep_row = {rep: row for row, rep in enumerate(reps)}
-    table = wrap_point(tri.circumcenters[reps], pattern.box)
-
-    # star[(i, u in i's frame)] = (triangle, shift into i's frame, w in i's
-    # frame) for the CCW triangle (i, u, w): following w walks CCW around i.
-    star: dict = {}
-    first_key: dict = {}
-    for tid, tri_c in enumerate(tri.triangles):
-        for p in range(3):
-            bi, oi = tri_c[p]
-            u = tri_c[(p + 1) % 3]
-            w = tri_c[(p + 2) % 3]
-            rel_u = (u[0], _osub(u[1], oi))
-            rel_w = (w[0], _osub(w[1], oi))
-            star[(bi, rel_u)] = (tid, _oneg(oi), rel_w)
-            cur = first_key.get(bi)
-            if cur is None or rel_u < cur:
-                first_key[bi] = rel_u
+    # The walk around i starts at its smallest half-edge (i, u).  The
+    # checked table holds no half-edge twice, pairs each with its twin and
+    # uses every point, so each walk exists and closes.
+    start: dict = {}
+    for i, u in table:
+        if u < start.setdefault(i, u):
+            start[i] = u
 
     cells = []
     for i in range(len(pattern)):
-        u0 = first_key.get(i)
-        if u0 is None:
-            raise TessellationError(f"generator {i} has no incident triangle")
-        walk = []
-        u = u0
-        while True:
-            tid, shift, w = star[(i, u)]
-            crossing, _, _ = _edge_key_for((i, (0, 0)), w)
-            walk.append((tid, shift, crossing, w[0]))
-            u = w
-            if u == u0:
-                break
-            if len(walk) > len(tri.triangles):
-                raise TessellationError("star walk failed to close")
+        # (i, u, w) is CCW, so following w walks CCW around i; the edge
+        # i-w is the one crossed into the next triangle.
+        walk = [table[(i, start[i])]]
+        while walk[-1][2] != start[i]:
+            walk.append(table[(i, walk[-1][2])])
+        m = len(walk)
         # Collapse runs of triangles joined by degenerate edges: each run
         # contributes one polygon corner; the crossing edge that ends a run
         # is a real cell side and names the neighbor across it.
         corners = [tri.circumcenters[tid] + np.asarray(shift) * lengths
-                   for tid, shift, _, _ in walk]
-        keep = [k for k, (_, _, crossing, _) in enumerate(walk)
-                if crossing not in degenerate]
+                   for tid, shift, _ in walk]
+        keep = [k for k, (_, _, w) in enumerate(walk)
+                if (i, w) not in degenerate]
         if len(keep) < 3:
             raise TessellationError(
                 f"cell of generator {i} collapsed to fewer than 3 corners"
             )
-        polygon = np.array([corners[(k + 1) % len(walk)] for k in keep])
+        polygon = np.array([corners[(k + 1) % m] for k in keep])
         # Side j runs from polygon[j] to polygon[j+1] and is dual to the
         # kept crossing that ends the next corner's run.
-        neighbors = tuple(walk[keep[(j + 1) % len(keep)]][3]
+        neighbors = tuple(walk[keep[(j + 1) % len(keep)]][2][0]
                           for j in range(len(keep)))
         loop = []
         for k in keep:
-            tid = walk[(k + 1) % len(walk)][0]
-            row = rep_row[find(tid)]
-            off = np.rint((corners[(k + 1) % len(walk)] - table[row]) / lengths)
+            row = rows[walk[(k + 1) % m][0]]
+            off = np.rint((corners[(k + 1) % m] - vertices[row]) / lengths)
             loop.append((row, (int(off[0]), int(off[1]))))
         area = _shoelace(polygon)
         cells.append(Cell(generator=i, polygon=polygon, loop=tuple(loop),
                           area=area, sides=len(polygon), neighbors=neighbors))
-    return Tessellation(pattern=pattern, cells=tuple(cells), vertices=table)
+    return Tessellation(pattern=pattern, cells=tuple(cells), vertices=vertices)
 
 
 def _validate_tessellation(tess: Tessellation):

@@ -3,10 +3,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from hupa import BoxDomain, PointPattern, generate_poisson
+
+# Every property test draws the same bounded examples on every run and
+# keeps no example database on disk.
+settings.register_profile("hupa", derandomize=True, max_examples=50,
+                          deadline=None, database=None)
+settings.load_profile("hupa")
 
 
 @pytest.fixture

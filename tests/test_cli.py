@@ -482,6 +482,33 @@ class TestRender:
         assert 'r="0.500000"' in open(out).read()
 
 
+@pytest.mark.parametrize("argv", [
+    ["tessellate", "{pat}", "--svg", "--scale", "0"],
+    ["render", "{pat}", "--scale", "nan"],
+    ["render", "{pat}", "--scale", "inf"],
+    ["render", "{pat}", "--scale", "-2"],
+    ["field", "{img}", "--pixel-size", "nan"],
+    ["field", "{img}", "--pixel-size", "inf"],
+    ["field", "{img}", "--pixel-size", "0"],
+], ids=["tessellate-scale-0", "render-scale-nan", "render-scale-inf",
+        "render-scale-negative", "field-pixel-size-nan",
+        "field-pixel-size-inf", "field-pixel-size-0"])
+def test_nonpositive_or_nonfinite_float_is_usage_error(capsys, tmp_path, argv):
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    pat = gen_pattern(capsys, inputs, "p.pat", "generate", "poisson",
+                      "--box", "8x8", "--rho", "1")
+    img = inputs / "img.pbm"
+    img.write_text("P1\n4 4\n" + "0 1 1 0\n" * 4)
+    out_dir = tmp_path / "out"
+    argv = [a.format(pat=pat, img=img) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out-dir", str(out_dir)])
+    assert exc.value.code == 2
+    assert "must be a positive finite number" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 class TestGlobalFlags:
     def test_out_dir_prefixes_relative_output(self, capsys, tmp_path,
                                               monkeypatch):

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import hupa.generators
@@ -291,7 +291,6 @@ def assert_same_outcome(got, want, target):
         assert np.array_equal(got, want)
 
 
-@settings(derandomize=True, max_examples=50, deadline=None, database=None)
 @given(lengths=st.lists(st.sampled_from([1.0, 2.5, 3.5, 6.0, 9.0]),
                         min_size=2, max_size=3),
        share=st.floats(0.05, 1.1),

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import hupa.tessellation
@@ -53,20 +53,20 @@ class TestDelaunayStructure:
         assert math.isclose(float(tri.areas.sum()), poisson32.box.volume,
                             rel_tol=1e-9)
 
-    def test_voronoi_builds_edge_map_at_most_twice(self, poisson32,
-                                                   monkeypatch):
-        # one map for the hull candidate and the flip pass, one cached on
-        # the final Triangulation for validation and the dual walk
+    def test_voronoi_builds_half_edge_table_once(self, poisson32,
+                                                 monkeypatch):
+        # one table for the hull candidate, kept in step by the flip pass
+        # and then read by validation and the dual walk
         calls = []
-        build = hupa.tessellation._build_edge_map
+        build = hupa.tessellation._half_edge_table
 
         def counted(tris):
             calls.append(len(tris))
             return build(tris)
 
-        monkeypatch.setattr(hupa.tessellation, "_build_edge_map", counted)
+        monkeypatch.setattr(hupa.tessellation, "_half_edge_table", counted)
         voronoi(poisson32)
-        assert len(calls) <= 2
+        assert len(calls) == 1
 
     def test_empty_circumcircles(self, poisson32):
         assert circumcircle_violations(delaunay(poisson32)) == 0
@@ -139,6 +139,47 @@ class TestDelaunayStructure:
         pts = [[50.0, 50.0], [50.5, 50.0], [50.0, 50.5]]
         with pytest.raises(TessellationError):
             delaunay(make_pattern(pts, (100.0, 100.0)))
+
+    def test_degenerate_edges_match_a_loop(self, poisson32):
+        # one loop over the edges, each decided in its key's frame
+        for pat, n_degenerate in ((lattice((8.0, 8.0), "square"), 64),
+                                  (poisson32, 0)):
+            tri = delaunay(pat)
+            tol = hupa.tessellation.MERGE_TOL_FACTOR * pat.box.min_length
+            lengths = np.asarray(pat.box.lengths)
+            want = set()
+            for (i, (j, d)), (t0, s0, _) in tri.half_edges.items():
+                if (i, (0, 0)) < (j, d):
+                    twin = (j, (i, (-d[0], -d[1])))
+                    t1, s1, _ = tri.half_edges[twin]
+                    c0 = tri.circumcenters[t0] + np.asarray(s0) * lengths
+                    c1 = (tri.circumcenters[t1]
+                          + (np.asarray(s1) + np.asarray(d)) * lengths)
+                    if math.hypot(*(c0 - c1)) <= tol:
+                        want |= {(i, (j, d)), twin}
+            got, joined = hupa.tessellation._degenerate_edges(tri, tol)
+            assert got == want
+            assert len(joined) == n_degenerate == len(want) // 2
+
+    def test_check_structure_rejects_broken_tables(self, poisson32):
+        n = len(poisson32)
+        tris = dict(enumerate(delaunay(poisson32).triangles))
+        table = hupa.tessellation._half_edge_table(tris)
+        check = hupa.tessellation._check_structure
+        assert check(tris, table, n)
+        # a duplicated half-edge: triangle 0 twice, triangle 1 gone
+        twice = dict(tris)
+        twice[1] = tris[0]
+        assert not check(twice, hupa.tessellation._half_edge_table(twice), n)
+        # a missing twin, with the count of half-edges kept at 6N
+        lonely = dict(table)
+        i, (j, (dx, dy)) = next(iter(lonely))
+        lonely[(i, (j, (dx + 5, dy)))] = lonely.pop((i, (j, (dx, dy))))
+        assert len(lonely) == 6 * n
+        assert not check(tris, lonely, n)
+        # point 0 unused: every index moved up by one, twins all present
+        moved = {t: tuple((b + 1, o) for b, o in tri) for t, tri in tris.items()}
+        assert not check(moved, hupa.tessellation._half_edge_table(moved), n)
 
 
 class TestVoronoi:
@@ -290,6 +331,17 @@ class TestCoveringTorus:
         assert math.isclose(cell.area, 100.0, rel_tol=1e-9)
         assert_valid_cells(tess)
 
+    def test_one_point_in_very_long_box(self):
+        # the lift is centred on the box, which keeps the lifted coordinate
+        # of the 2x701 cover small enough for Qhull
+        box = (700.0, 1.0)
+        for seed in range(10):
+            pts = np.random.default_rng(seed).random((1, 2)) * box
+            tess = voronoi(make_pattern(pts, box))
+            assert tess.cells[0].sides == 4
+            assert math.isclose(tess.cells[0].area, 700.0, rel_tol=1e-9)
+            assert_valid_cells(tess)
+
     def test_cover_cap_raises_before_building(self, monkeypatch):
         calls = []
         monkeypatch.setattr(hupa.tessellation, "_initial_triangulation",
@@ -322,7 +374,6 @@ def assert_same_cells(a, b):
         assert np.all(gaps.min(axis=1) <= 1e-9)
 
 
-@settings(derandomize=True, max_examples=50, deadline=None, database=None)
 @given(n=st.integers(6, 40), seed=st.integers(0, 2**32 - 1))
 def test_cover_matches_one_sheet(n, seed):
     # the Voronoi diagram does not depend on which torus it is built on
@@ -334,6 +385,54 @@ def test_cover_matches_one_sheet(n, seed):
     except hupa.tessellation._TooSparseError:
         return
     assert_same_cells(hupa.tessellation._voronoi_cover(pat), one_sheet)
+
+
+def corner_keys(tri):
+    """Each triangle as its corners' coordinates and offsets relative to one
+    corner, taking the smallest over the corners: a key that depends on the
+    geometry alone, not on the order of the input rows."""
+    pts = tri.pattern.points
+    return sorted(
+        min(sorted((tuple(pts[b]), (o[0] - a[0], o[1] - a[1])) for b, o in verts)
+            for _, a in verts)
+        for verts in tri.triangles)
+
+
+@given(n=st.integers(6, 40), seed=st.integers(0, 2**32 - 1))
+def test_half_edge_table_properties(n, seed):
+    lengths = (9.0, 6.0)
+    rng = np.random.default_rng(seed)
+    pat = make_pattern(rng.uniform(0.0, 1.0, size=(n, 2)) * lengths, lengths)
+    try:
+        tri = delaunay(pat)
+    except hupa.tessellation._TooSparseError:
+        return
+    table = tri.half_edges
+    stars: dict = {}
+    for (i, (j, (dx, dy))), (t, (sx, sy), w) in table.items():
+        assert (j, (i, (-dx, -dy))) in table
+        # the entry names the CCW triangle (i, j, w) moved into i's frame
+        moved = [(b, (ox + sx, oy + sy)) for b, (ox, oy) in tri.triangles[t]]
+        k = moved.index((i, (0, 0)))
+        assert moved[(k + 1) % 3] == (j, (dx, dy))
+        assert moved[(k + 2) % 3] == w
+        stars.setdefault(i, set()).add((j, (dx, dy)))
+    assert sorted(stars) == list(range(n))
+    degrees = 0
+    for i, star in stars.items():
+        u0 = u = min(star)
+        seen = []
+        while True:
+            seen.append(u)
+            u = table[(i, u)][2]
+            if u == u0:
+                break
+            assert len(seen) < len(star)
+        assert sorted(seen) == sorted(star)
+        degrees += len(seen)
+    assert degrees == 6 * n
+    shuffled = make_pattern(pat.points[rng.permutation(n)], lengths)
+    assert corner_keys(delaunay(shuffled)) == corner_keys(tri)
 
 
 class TestCellStatistics:
