@@ -17,7 +17,7 @@ import time
 
 from . import __version__
 from .errors import HupaError, IncommensurateBoxError
-from .field import BinaryField, load_field
+from .field import PNM_MAGICS, BinaryField, load_field
 from .generators import GENERATOR_KINDS, GENERATORS, GeneratorSpec, generate
 from .pattern import BoxDomain, load_pattern, save_pattern
 from .report import build_report, write_report
@@ -25,9 +25,6 @@ from .svg import DEFAULT_SCALE, render_pattern, render_tess_model
 from .tessellation import (cell_statistics, delaunay, face_model, save_tess,
                            voronoi)
 from .variance import classify, default_radii, fit_scaling, variance_curve
-
-_PNM_MAGICS = (b"P1", b"P2", b"P4", b"P5")
-
 
 class _Usage(Exception):
     """Flag/argument validation failure -> exit 2."""
@@ -119,10 +116,11 @@ def _magic(path: str) -> bytes:
         return fh.read(2)
 
 
-def _load_input_field(args, magic: bytes) -> BinaryField:
-    if magic in (b"P2", b"P5") and args.threshold is None:
-        raise _Usage("grayscale input requires --threshold")
-    field = load_field(args.input, threshold=args.threshold)
+def _load_input_field(args) -> BinaryField:
+    try:
+        field = load_field(args.input, threshold=args.threshold)
+    except ValueError as exc:  # the --threshold rule
+        raise _Usage(str(exc)) from None
     if args.pixel_size is not None:
         ny, nx = field.bits.shape
         box = BoxDomain(lengths=(nx * args.pixel_size, ny * args.pixel_size))
@@ -198,7 +196,7 @@ def _add_sweep(sub, common, name, summary, description, input_help):
     p.add_argument("--fit-max", type=float, default=None,
                    help="largest radius used in the scaling fit")
     p.add_argument("--threshold", type=int, default=None,
-                   help="grayscale images: values <= threshold are dark")
+                   help="P2/P5 images only: values <= threshold are dark")
     p.add_argument("--pixel-size", type=_positive_float, default=None,
                    help="images: model length of one pixel edge (default 1)")
     p.set_defaults(handler=cmd_sweep, default_out=name)
@@ -217,11 +215,11 @@ def cmd_sweep(args) -> int:
     and <out>.json.  field accepts only images; variance takes a pattern
     or an image."""
     magic = _magic(args.input)
-    if args.command == "field" and magic not in _PNM_MAGICS:
+    if args.command == "field" and magic not in PNM_MAGICS:
         raise _Usage("field requires a PBM/PGM image input")
     field = None
-    if magic in _PNM_MAGICS:
-        subject = field = _load_input_field(args, magic)
+    if magic in PNM_MAGICS:
+        subject = field = _load_input_field(args)
     else:  # not an image: load_pattern reports any format error
         if args.threshold is not None or args.pixel_size is not None:
             raise _Usage("--threshold/--pixel-size only apply to image input")

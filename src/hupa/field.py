@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -229,76 +230,53 @@ def _stamp_segment(bits, p0, p1, w, reach, h, nx, ny):
         bits[r, hit] = True
 
 
-_PNM_MAGICS = {b"P1", b"P2", b"P4", b"P5"}
-
-
-class _Tokenizer:
-    """Whitespace/comment-aware PNM header scanner that tracks offsets."""
-
-    def __init__(self, data: bytes, pos: int):
-        self.data = data
-        self.pos = pos
-
-    def skip_space(self):
-        data = self.data
-        n = len(data)
-        while self.pos < n:
-            c = data[self.pos]
-            if c in b"#":
-                while self.pos < n and data[self.pos] not in b"\n":
-                    self.pos += 1
-            elif c in b" \t\r\n\x0b\x0c":
-                self.pos += 1
-            else:
-                return
-
-    def next_int(self, what: str) -> int:
-        self.skip_space()
-        start = self.pos
-        data = self.data
-        while self.pos < len(data) and data[self.pos : self.pos + 1].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise FieldFormatError(f"expected {what}", offset=start)
-        return int(data[start:self.pos])
+PNM_MAGICS = (b"P1", b"P2", b"P4", b"P5")
+# Whitespace and `#` comments, then one decimal header field.
+_HEADER_FIELD = re.compile(rb"(?:\s|#[^\n]*)*(\d*)")
+_COMMENT = re.compile(rb"#[^\n]*")
 
 
 def load_field(path, threshold: int | None = None) -> BinaryField:
     """Load a PBM (P1/P4) or PGM (P2/P5) image as a binary field.
 
-    PGM pixels with value <= threshold are dark; PBM 1-bits are dark.  Box
+    PGM pixels with value <= threshold are dark; PBM 1-bits are dark.  A
+    threshold in 0..255 is required for PGM input and refused for PBM
+    input (ValueError).  Comments may appear in the header and in an
+    ASCII payload; P2 values above maxval are a FieldFormatError.  Box
     lengths default to one model unit per pixel; a sidecar file
     `<image>.hupa` can override them and assert periodic content.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    if len(data) < 2 or data[:2] not in _PNM_MAGICS:
+    magic = data[:2]
+    if magic not in PNM_MAGICS:
         raise FieldFormatError("not a PBM/PGM file (bad magic number)", offset=0)
-    magic = data[:2].decode()
-    tok = _Tokenizer(data, 2)
-    width = tok.next_int("width")
-    height = tok.next_int("height")
+    gray = magic in (b"P2", b"P5")
+    width, pos = _header_int(data, 2, "width")
+    height, pos = _header_int(data, pos, "height")
     if width < 1 or height < 1:
-        raise FieldFormatError(f"bad dimensions {width}x{height}", offset=tok.pos)
-    if magic in ("P2", "P5"):
-        maxval_at = tok.pos
-        maxval = tok.next_int("maxval")
+        raise FieldFormatError(f"bad dimensions {width}x{height}", offset=pos)
+    maxval = 1
+    if gray:
+        maxval_at = pos
+        maxval, pos = _header_int(data, pos, "maxval")
         if not 0 < maxval <= 255:
             raise FieldFormatError(
                 f"maxval {maxval} out of range (1-255)", offset=maxval_at
             )
         if threshold is None:
             raise ValueError("a threshold is required for grayscale input")
-        if not 0 <= int(threshold) <= 255:
+        threshold = int(threshold)
+        if not 0 <= threshold <= 255:
             raise ValueError("threshold must be in [0, 255]")
-    if magic == "P1":
-        bits = _read_p1(tok, width, height)
-    elif magic == "P2":
-        bits = _read_p2(tok, width, height) <= int(threshold)
-    elif magic == "P4":
-        bits = _read_p4(tok, width, height)
+    elif threshold is not None:
+        raise ValueError("a threshold applies only to grayscale (P2/P5) input")
+    if magic in (b"P1", b"P2"):
+        values = _decode_ascii(data, pos, width * height, maxval, not gray)
+        values = values.reshape(height, width)
     else:
-        bits = _read_p5(tok, width, height) <= int(threshold)
+        values = _decode_binary(data, pos, width, height, not gray)
+    bits = values <= threshold if gray else values.view(bool)  # 0s and 1s
 
     lengths = (float(width), float(height))
     periodic = False
@@ -314,71 +292,88 @@ def load_field(path, threshold: int | None = None) -> BinaryField:
             f"pixels for a {nx}x{ny} grid",
             offset=0,
         )
-    prov = f"loaded({os.path.basename(str(path))}, format={magic}"
-    if magic in ("P2", "P5"):
-        prov += f", threshold={int(threshold)}"
-    prov += ")"
+    extra = f", threshold={threshold}" if gray else ""
+    prov = (f"loaded({os.path.basename(str(path))}, "
+            f"format={magic.decode()}{extra})")
     return BinaryField(box=box, bits=bits, provenance=prov,
                        periodic_asserted=periodic)
 
 
-def _read_p1(tok: _Tokenizer, width: int, height: int) -> np.ndarray:
-    vals = np.empty(width * height, dtype=bool)
-    data = tok.data
-    n = len(data)
-    for k in range(width * height):
-        tok.skip_space()
-        if tok.pos >= n:
-            raise FieldFormatError("truncated bitmap payload", offset=n)
-        c = data[tok.pos]
-        if c == 0x30:
-            vals[k] = False
-        elif c == 0x31:
-            vals[k] = True
-        else:
-            raise FieldFormatError(
-                f"bad bitmap digit {chr(c)!r}", offset=tok.pos
-            )
-        tok.pos += 1
-    return vals.reshape(height, width)
+def _header_int(data: bytes, pos: int, what: str):
+    """The header field after pos, and the offset just past it."""
+    m = _HEADER_FIELD.match(data, pos)
+    if not m[1]:
+        raise FieldFormatError(f"expected {what}", offset=m.start(1))
+    try:
+        return int(m[1]), m.end()
+    except ValueError:  # past Python's 4300-digit limit
+        raise FieldFormatError(f"{what} has too many digits",
+                               offset=m.start(1)) from None
 
 
-def _read_p2(tok: _Tokenizer, width: int, height: int) -> np.ndarray:
-    vals = np.empty(width * height, dtype=np.int64)
-    for k in range(width * height):
-        tok.skip_space()
-        if tok.pos >= len(tok.data):
-            raise FieldFormatError("truncated graymap payload", offset=len(tok.data))
-        vals[k] = tok.next_int("pixel value")
-    return vals.reshape(height, width)
+def _decode_ascii(data: bytes, pos: int, count: int, maxval: int,
+                  bitmap: bool) -> np.ndarray:
+    """The first count values of a P1 (bitmap) or P2 payload at data[pos:].
+
+    Comments become spaces of the same length, so offsets still point
+    into data.  A P1 value is one non-space byte, a P2 value a run of
+    digits.  The first bad byte or P2 value above maxval met before the
+    count-th value is an error at its offset.  Temporaries take one or
+    two bytes per payload byte.
+    """
+    body = _COMMENT.sub(lambda m: b" " * len(m[0]), data)
+    body = np.frombuffer(body, dtype=np.uint8)[pos:]
+    digit = body - 48  # non-digits wrap to >= 10
+    errors = (body != 32) & (body - 9 >= 5)  # non-space; narrowed below
+    if bitmap:
+        ends = errors.copy()
+        errors &= digit > 1
+    else:
+        isd = digit < 10
+        digit *= isd
+        ends = isd.copy()
+        ends[:-1] &= ~isd[1:]
+        errors &= ~isd
+        # A nonzero digit with three more after it makes a value >= 1000;
+        # else the value is that of the run's last three digits, read
+        # where the run ends.
+        errors[:-3] |= (digit[:-3] - 1 < 9) & isd[1:-2] & isd[2:-1] & isd[3:]
+        value = digit.astype(np.uint16)
+        value[1:] += 10 * digit[:-1]
+        value[2:] += np.uint16(100) * (digit[:-2] * isd[1:-1])
+        errors |= ends & (value > maxval)
+        digit = value
+    if errors.any():
+        at = int(errors.argmax())
+        if bitmap:
+            message = f"bad bitmap digit {chr(body[at])!r}"
+        elif not isd[at]:
+            message = "expected pixel value"
+        else:  # at the value's start; the header took the digits before pos
+            at -= int(isd[at::-1].argmin()) - 1
+            message = f"pixel value above maxval {maxval}"
+        if np.count_nonzero(ends[:at]) < count:  # values before the error
+            raise FieldFormatError(message, offset=pos + at)
+    values = digit[ends]
+    if len(values) < count:
+        kind = "bitmap" if bitmap else "graymap"
+        raise FieldFormatError(f"truncated {kind} payload", offset=len(data))
+    return values[:count]
 
 
-def _read_p4(tok: _Tokenizer, width: int, height: int) -> np.ndarray:
-    pos = tok.pos
-    data = tok.data
+def _decode_binary(data: bytes, pos: int, width: int, height: int,
+                   bitmap: bool) -> np.ndarray:
+    """The (height, width) raster of a P4 (bitmap) or P5 payload: one
+    whitespace byte, then rows of packed bits or of one byte per pixel."""
     if pos >= len(data) or data[pos] not in b" \t\r\n":
         raise FieldFormatError("missing separator before raster", offset=pos)
-    pos += 1
-    row_bytes = (width + 7) // 8
-    need = row_bytes * height
-    if len(data) - pos < need:
-        raise FieldFormatError("truncated bitmap payload", offset=len(data))
-    raw = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
-    bits = np.unpackbits(raw.reshape(height, row_bytes), axis=1)[:, :width]
-    return bits.astype(bool)
-
-
-def _read_p5(tok: _Tokenizer, width: int, height: int) -> np.ndarray:
-    pos = tok.pos
-    data = tok.data
-    if pos >= len(data) or data[pos] not in b" \t\r\n":
-        raise FieldFormatError("missing separator before raster", offset=pos)
-    pos += 1
-    need = width * height
-    if len(data) - pos < need:
-        raise FieldFormatError("truncated graymap payload", offset=len(data))
-    raw = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
-    return raw.reshape(height, width).astype(np.int64)
+    row_bytes = (width + 7) // 8 if bitmap else width
+    if len(data) - pos - 1 < row_bytes * height:
+        kind = "bitmap" if bitmap else "graymap"
+        raise FieldFormatError(f"truncated {kind} payload", offset=len(data))
+    raw = np.frombuffer(data, dtype=np.uint8, count=row_bytes * height,
+                        offset=pos + 1).reshape(height, row_bytes)
+    return np.unpackbits(raw, axis=1, count=width) if bitmap else raw
 
 
 def _read_sidecar(path, default_lengths):

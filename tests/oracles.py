@@ -272,3 +272,104 @@ def chi_square_sf(x: float, df: int) -> float:
         if abs(delta - 1.0) < 1e-15:
             break
     return f * math.exp(-z + a * math.log(z) - lg)
+
+
+class PnmReferenceError(Exception):
+    """A malformed PBM/PGM input: the message and its byte offset."""
+
+    def __init__(self, message, offset):
+        super().__init__(message)
+        self.message = message
+        self.offset = offset
+
+
+class _PnmTokens:
+    """Whitespace/comment-aware PNM scanner that tracks offsets."""
+
+    def __init__(self, data: bytes, pos: int):
+        self.data = data
+        self.pos = pos
+
+    def skip_space(self):
+        data = self.data
+        n = len(data)
+        while self.pos < n:
+            c = data[self.pos]
+            if c in b"#":
+                while self.pos < n and data[self.pos] not in b"\n":
+                    self.pos += 1
+            elif c in b" \t\r\n\x0b\x0c":
+                self.pos += 1
+            else:
+                return
+
+    def next_int(self, what: str) -> int:
+        self.skip_space()
+        start = self.pos
+        data = self.data
+        while self.pos < len(data) and data[self.pos:self.pos + 1].isdigit():
+            self.pos += 1
+        if self.pos == start:
+            raise PnmReferenceError(f"expected {what}", start)
+        return int(data[start:self.pos])
+
+
+def pnm_reference(data: bytes, threshold=None) -> np.ndarray:
+    """Dark bits of a P1/P2/P4/P5 image, read one byte at a time.
+
+    PGM values <= threshold are dark, PBM 1-bits are dark; a P2 value
+    above maxval is an error at the value's offset.  Raises
+    PnmReferenceError with the message and offset a malformed input
+    should give.  The threshold rules are not checked here.
+    """
+    if len(data) < 2 or data[:2] not in (b"P1", b"P2", b"P4", b"P5"):
+        raise PnmReferenceError("not a PBM/PGM file (bad magic number)", 0)
+    magic = data[:2]
+    tok = _PnmTokens(data, 2)
+    width = tok.next_int("width")
+    height = tok.next_int("height")
+    if width < 1 or height < 1:
+        raise PnmReferenceError(f"bad dimensions {width}x{height}", tok.pos)
+    n = len(data)
+    count = width * height
+    kind = "graymap" if magic in (b"P2", b"P5") else "bitmap"
+    if kind == "graymap":
+        maxval_at = tok.pos
+        maxval = tok.next_int("maxval")
+        if not 0 < maxval <= 255:
+            raise PnmReferenceError(
+                f"maxval {maxval} out of range (1-255)", maxval_at)
+    if magic in (b"P4", b"P5"):
+        if tok.pos >= n or data[tok.pos] not in b" \t\r\n":
+            raise PnmReferenceError("missing separator before raster",
+                                    tok.pos)
+        row_bytes = (width + 7) // 8 if magic == b"P4" else width
+        start = tok.pos + 1
+        if n - start < row_bytes * height:
+            raise PnmReferenceError(f"truncated {kind} payload", n)
+        rows = [data[start + i * row_bytes:start + (i + 1) * row_bytes]
+                for i in range(height)]
+        if magic == b"P4":
+            return np.array([[(row[j // 8] >> (7 - j % 8)) & 1 == 1
+                              for j in range(width)] for row in rows])
+        return np.array([[v <= threshold for v in row] for row in rows])
+    vals = []
+    for _ in range(count):
+        tok.skip_space()
+        if tok.pos >= n:
+            raise PnmReferenceError(f"truncated {kind} payload", n)
+        if magic == b"P1":
+            c = data[tok.pos]
+            if c not in b"01":
+                raise PnmReferenceError(f"bad bitmap digit {chr(c)!r}",
+                                        tok.pos)
+            vals.append(c == ord("1"))
+            tok.pos += 1
+        else:
+            at = tok.pos
+            v = tok.next_int("pixel value")
+            if v > maxval:
+                raise PnmReferenceError(
+                    f"pixel value above maxval {maxval}", at)
+            vals.append(v <= threshold)
+    return np.array(vals, dtype=bool).reshape(height, width)

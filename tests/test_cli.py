@@ -416,6 +416,36 @@ class TestField:
         assert code == 2
         assert "threshold" in stderr
 
+    @pytest.mark.parametrize("value", ["300", "-1"])
+    def test_threshold_out_of_range_is_usage_error(self, capsys, tmp_path,
+                                                   value):
+        img = tmp_path / "g.pgm"
+        img.write_text("P2\n16 16\n255\n" + " ".join(["7"] * 256) + "\n")
+        code, _, stderr = run(capsys, "field", str(img), "--threshold", value,
+                              "-o", str(tmp_path / "f"))
+        assert code == 2
+        assert "threshold must be in [0, 255]" in stderr
+        assert not os.path.exists(tmp_path / "f.json")
+
+    @pytest.mark.parametrize("command", ["variance", "field"])
+    def test_threshold_on_bitmap_is_usage_error(self, capsys, tmp_path,
+                                                command):
+        img = self.make_image(tmp_path, np.eye(16, dtype=bool))
+        code, _, stderr = run(capsys, command, img, "--threshold", "7",
+                              "-o", str(tmp_path / "f"))
+        assert code == 2
+        assert "grayscale" in stderr
+        assert not os.path.exists(tmp_path / "f.json")
+
+    @pytest.mark.parametrize("value", ["256", "1" * 20])
+    def test_value_above_maxval_is_error(self, capsys, tmp_path, value):
+        img = tmp_path / "big.pgm"
+        img.write_text(f"P2\n2 1\n255\n7 {value}\n")
+        code, _, stderr = run(capsys, "field", str(img), "--threshold", "3",
+                              "-o", str(tmp_path / "f"))
+        assert code == 1
+        assert "byte 13: pixel value above maxval 255" in stderr
+
     def test_pattern_input_rejected(self, capsys, tmp_path):
         pat = gen_pattern(capsys, tmp_path, "p.pat", "generate", "poisson",
                           "--box", "16x16", "--rho", "1")

@@ -13,7 +13,11 @@ from hupa.generators import GeneratorSpec, generate
 from hupa.pattern import BoxDomain, PointPattern
 from hupa.tessellation import voronoi
 from hupa.variance import default_radii
-from oracles import dark_fraction_window_brute, pixels_near_segments_brute
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from oracles import (PnmReferenceError, dark_fraction_window_brute,
+                     pixels_near_segments_brute, pnm_reference)
 
 
 def make_field(bits, lengths, **kw):
@@ -388,6 +392,13 @@ class TestFieldIO:
         with pytest.raises(FieldFormatError, match="dimensions"):
             load_field(path)
 
+    def test_header_field_with_too_many_digits(self, tmp_path):
+        path = tmp_path / "t.pbm"
+        path.write_text("P1\n" + "1" * 5000 + " 1\n1\n")
+        with pytest.raises(FieldFormatError, match="width has too many") as err:
+            load_field(path)
+        assert err.value.offset == 3
+
     def test_sidecar_unknown_key(self, tmp_path):
         path = tmp_path / "x.pbm"
         path.write_text("P1\n1 1\n1\n")
@@ -420,3 +431,132 @@ class TestFieldIO:
         assert f.box.lengths == (10.0, 10.0)
         assert f.pixel_size == 2.5
         assert not f.periodic_asserted
+
+    def test_comments_in_ascii_payload(self, tmp_path):
+        path = tmp_path / "c.pgm"
+        path.write_bytes(b"P2 3#w\n1 99#max\n12#after a digit\n#\n 7\t009")
+        f = load_field(path, threshold=8)
+        assert np.array_equal(f.bits, [[False, True, False]])
+        path.write_bytes(b"P1\n3 1\n1#x\n0 # y\n1")
+        assert np.array_equal(load_field(path).bits, [[True, False, True]])
+
+    @pytest.mark.parametrize("value", [b"10", b"0010", b"1" * 20, b"9" * 5000],
+                             ids=["10", "0010", "20-digit", "5000-digit"])
+    def test_p2_value_above_maxval(self, tmp_path, value):
+        path = tmp_path / "big.pgm"
+        path.write_bytes(b"P2\n3 1\n9\n1 " + value + b" x")
+        with pytest.raises(FieldFormatError,
+                           match="pixel value above maxval 9") as err:
+            load_field(path, threshold=3)
+        assert err.value.offset == 11
+
+    def test_p2_single_digit_values(self, tmp_path):
+        path = tmp_path / "d.pgm"
+        path.write_bytes(b"P2\n5 1\n9\n5 7 0 9 3\n")
+        f = load_field(path, threshold=6)
+        assert np.array_equal(f.bits, [[True, False, True, False, True]])
+
+    def test_leading_zeros_within_maxval(self, tmp_path):
+        path = tmp_path / "z.pgm"
+        path.write_bytes(b"P2\n2 1\n255\n" + b"0" * 30 + b"255 0000")
+        f = load_field(path, threshold=254)
+        assert np.array_equal(f.bits, [[False, True]])
+
+    def test_threshold_refused_for_bitmap(self, tmp_path):
+        path = tmp_path / "b.pbm"
+        path.write_text("P1\n1 1\n1\n")
+        with pytest.raises(ValueError, match="grayscale"):
+            load_field(path, threshold=7)
+        path.write_text("P2\n1 1\n255\n7\n")
+        with pytest.raises(ValueError, match=r"\[0, 255\]"):
+            load_field(path, threshold=-1)
+
+
+_SPACE = [b" ", b"\t", b"\n", b"\r\n", b"\x0b", b"\x0c", b"  \n\t"]
+_COMMENTS = st.builds(lambda text: b"#" + text + b"\n",
+                      st.sampled_from([b"", b"c", b"12", b"# 3 x", b"\xff"]))
+_BAD = [b"x", b"-", b"2", b"9", b".", b"\x00", b"\xff", b"#", b"\n", b"0"]
+
+
+@st.composite
+def pnm_inputs(draw, magic):
+    """PNM bytes with odd spacing and comments, leading zeros, bad bytes,
+    trailing junk and truncation, and a threshold that fits the format."""
+    gray = magic in (b"P2", b"P5")
+
+    def space(min_size=1):
+        return b"".join(draw(st.lists(st.one_of(st.sampled_from(_SPACE),
+                                                 _COMMENTS),
+                                       min_size=min_size, max_size=3)))
+
+    def number(value):
+        return b"0" * draw(st.sampled_from([0, 0, 0, 1, 3])) + b"%d" % value
+
+    def rarely():
+        return draw(st.integers(0, 9)) == 0
+
+    width = 0 if rarely() else draw(st.integers(1, 5))
+    height = 0 if rarely() else draw(st.integers(1, 4))
+    maxval = draw(st.sampled_from([255, 1, 7, 100, 255, 0, 256]))
+    fields = [width, height] + ([maxval] if gray else [])
+    out = magic + b"".join(space() + number(v) for v in fields)
+    count = width * height
+    if magic == b"P1":
+        out += b"".join(space(0) + number(draw(st.integers(0, 1)))
+                        for _ in range(count))
+    elif magic == b"P2":
+        top = max(maxval, 0)
+        out += b"".join(
+            space() + number(draw(st.integers(top + 1, 10 ** 20)) if rarely()
+                             else draw(st.integers(0, min(top, 9))
+                                       | st.integers(0, top)))
+            for _ in range(count))
+    else:
+        row_bytes = (width + 7) // 8 if magic == b"P4" else width
+        out += draw(st.sampled_from([b"\n", b" ", b"\t", b"\r", b"x", b""]))
+        out += draw(st.binary(min_size=row_bytes * height,
+                              max_size=row_bytes * height))
+    if draw(st.booleans()):
+        out += space(0) + draw(st.sampled_from(_BAD))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(2, len(out)))
+        out = out[:at] + draw(st.sampled_from(_BAD)) + out[at:]
+    if rarely():
+        out = draw(st.sampled_from([b"", b"P", b"P3", b"p1", b"P6"])) + out[2:]
+    if draw(st.integers(0, 3)) == 0:
+        out = out[:-draw(st.integers(1, 12))]
+    threshold = draw(st.integers(0, 255)) if gray else None
+    return out, threshold
+
+
+@pytest.fixture(scope="module")
+def scratch_image(tmp_path_factory):
+    return tmp_path_factory.mktemp("pnm") / "image.pnm"
+
+
+@pytest.mark.parametrize("magic", [b"P1", b"P2", b"P4", b"P5"])
+@given(data=st.data())
+def test_load_field_matches_reference(scratch_image, magic, data):
+    raw, threshold = data.draw(pnm_inputs(magic))
+    scratch_image.write_bytes(raw)
+    try:
+        want = pnm_reference(raw, threshold)
+    except PnmReferenceError as ref:
+        with pytest.raises(FieldFormatError) as err:
+            load_field(scratch_image, threshold=threshold)
+        assert err.value.offset == ref.offset
+        assert str(err.value) == f"byte {ref.offset}: {ref.message}"
+    else:
+        assert np.array_equal(
+            load_field(scratch_image, threshold=threshold).bits, want)
+
+
+@given(bits=hnp.arrays(bool, st.tuples(st.integers(1, 12),
+                                       st.integers(1, 20))))
+def test_save_load_round_trip(scratch_image, bits):
+    ny, nx = bits.shape
+    f = make_field(bits, (float(nx), float(ny)))
+    save_field(f, scratch_image)
+    back = load_field(scratch_image)
+    assert np.array_equal(back.bits, f.bits)
+    assert back.box.lengths == f.box.lengths
