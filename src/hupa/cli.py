@@ -24,14 +24,15 @@ from .report import build_report, write_report
 from .svg import DEFAULT_SCALE, render_pattern, render_tess_model
 from .tessellation import (cell_statistics, delaunay, face_model, save_tess,
                            voronoi)
-from .variance import classify, default_radii, fit_scaling, variance_curve
+from .variance import (MAX_WINDOWS, classify, default_radii, fit_scaling,
+                       variance_curve)
 
 class _Usage(Exception):
     """Flag/argument validation failure -> exit 2."""
 
 
-def _min_int(lo: int):
-    """argparse type: an integer >= lo."""
+def _min_int(lo: int, hi: int | None = None):
+    """argparse type: an integer >= lo, and <= hi when given."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -39,6 +40,8 @@ def _min_int(lo: int):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be >= {lo}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"must be <= {hi}")
         return value
     return parse
 
@@ -189,8 +192,8 @@ def _add_sweep(sub, common, name, summary, description, input_help):
     p.add_argument("input", help=input_help)
     p.add_argument("--radii", default=None,
                    help="comma-separated window radii (default: auto sweep)")
-    p.add_argument("--windows", type=_min_int(2), default=None,
-                   help="window placements per radius")
+    p.add_argument("--windows", type=_min_int(2, MAX_WINDOWS), default=None,
+                   help=f"window placements per radius (at most {MAX_WINDOWS})")
     p.add_argument("--fit-min", type=float, default=None,
                    help="smallest radius used in the scaling fit")
     p.add_argument("--fit-max", type=float, default=None,

@@ -179,12 +179,12 @@ def rasterize_tessellation(tess, pixels_per_axis: int,
         )
     bits = np.zeros((ny, nx), dtype=bool)
     reach = w + h  # stamp margin: pixel centers this close may qualify
-    for cell in tess.cells:
-        poly = cell.polygon
-        for k in range(len(poly)):
-            p0 = poly[k]
-            p1 = poly[(k + 1) % len(poly)]
-            _stamp_segment(bits, p0, p1, w, reach, h, nx, ny)
+    poly = tess.polygon
+    ptr = tess.ptr.tolist()
+    for s, e in zip(ptr, ptr[1:]):
+        for k in range(s, e):
+            _stamp_segment(bits, poly[k], poly[k + 1 if k + 1 < e else s],
+                           w, reach, h, nx, ny)
     prov = (f"rasterized_walls(source={tess.pattern.provenance}, "
             f"pixels={nx}, wall_halfwidth={w:g})")
     return BinaryField(box=box, bits=bits, provenance=prov,
@@ -242,7 +242,8 @@ def load_field(path, threshold: int | None = None) -> BinaryField:
     PGM pixels with value <= threshold are dark; PBM 1-bits are dark.  A
     threshold in 0..255 is required for PGM input and refused for PBM
     input (ValueError).  Comments may appear in the header and in an
-    ASCII payload; P2 values above maxval are a FieldFormatError.  Box
+    ASCII payload; P2 values and P5 bytes above maxval are a
+    FieldFormatError at the offset of the first one.  Box
     lengths default to one model unit per pixel; a sidecar file
     `<image>.hupa` can override them and assert periodic content.
     """
@@ -275,7 +276,7 @@ def load_field(path, threshold: int | None = None) -> BinaryField:
         values = _decode_ascii(data, pos, width * height, maxval, not gray)
         values = values.reshape(height, width)
     else:
-        values = _decode_binary(data, pos, width, height, not gray)
+        values = _decode_binary(data, pos, width, height, maxval, not gray)
     bits = values <= threshold if gray else values.view(bool)  # 0s and 1s
 
     lengths = (float(width), float(height))
@@ -362,9 +363,10 @@ def _decode_ascii(data: bytes, pos: int, count: int, maxval: int,
 
 
 def _decode_binary(data: bytes, pos: int, width: int, height: int,
-                   bitmap: bool) -> np.ndarray:
+                   maxval: int, bitmap: bool) -> np.ndarray:
     """The (height, width) raster of a P4 (bitmap) or P5 payload: one
-    whitespace byte, then rows of packed bits or of one byte per pixel."""
+    whitespace byte, then rows of packed bits or of one byte per pixel.
+    The first P5 byte above maxval is an error at its offset."""
     if pos >= len(data) or data[pos] not in b" \t\r\n":
         raise FieldFormatError("missing separator before raster", offset=pos)
     row_bytes = (width + 7) // 8 if bitmap else width
@@ -373,7 +375,13 @@ def _decode_binary(data: bytes, pos: int, width: int, height: int,
         raise FieldFormatError(f"truncated {kind} payload", offset=len(data))
     raw = np.frombuffer(data, dtype=np.uint8, count=row_bytes * height,
                         offset=pos + 1).reshape(height, row_bytes)
-    return np.unpackbits(raw, axis=1, count=width) if bitmap else raw
+    if bitmap:
+        return np.unpackbits(raw, axis=1, count=width)
+    above = raw.ravel() > maxval
+    if above.any():
+        raise FieldFormatError(f"pixel value above maxval {maxval}",
+                               offset=pos + 1 + int(above.argmax()))
+    return raw
 
 
 def _read_sidecar(path, default_lengths):

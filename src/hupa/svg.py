@@ -55,6 +55,13 @@ def _footer(lengths) -> list[str]:
     ]
 
 
+def _dots(points, r: float, paint: str) -> list[str]:
+    """One circle per point; paint holds the fill attributes."""
+    rs = _f(r)
+    return [f'<circle cx="{_f(x)}" cy="{_f(y)}" r="{rs}" {paint}/>'
+            for x, y in points]
+
+
 def render_pattern(pattern: PointPattern, scale: float = DEFAULT_SCALE) -> str:
     """Render points as filled dots; hard-core points at true radius.
     scale sets the pixel size of one model unit."""
@@ -64,19 +71,11 @@ def render_pattern(pattern: PointPattern, scale: float = DEFAULT_SCALE) -> str:
     r = pattern.hard_radius
     if r is None:
         r = 0.008 * pattern.box.min_length
-        fill = "#1f3044"
-        opacity = ""
+        paint = 'fill="#1f3044"'
     else:
-        fill = "#2b5d8a"
-        opacity = ' fill-opacity="0.85"'
-    lines = _header(lengths, scale)
-    rs = _f(r)
-    for x, y in pattern.points:
-        lines.append(
-            f'<circle cx="{_f(x)}" cy="{_f(y)}" r="{rs}" '
-            f'fill="{fill}"{opacity}/>'
-        )
-    lines.extend(_footer(lengths))
+        paint = 'fill="#2b5d8a" fill-opacity="0.85"'
+    lines = (_header(lengths, scale) + _dots(pattern.points, r, paint)
+             + _footer(lengths))
     return "\n".join(lines) + "\n"
 
 
@@ -84,23 +83,18 @@ def render_tess_model(model, scale: float = DEFAULT_SCALE) -> str:
     """Render a face model (see tessellation.face_model): one closed path
     per face, colored by side count, generators overdrawn as dots."""
     lengths = model.lengths
-    larr = np.asarray(lengths)
-    stroke = 0.003 * min(lengths)
+    corners = (model.vertices[model.corner_row]
+               + model.corner_offset * np.asarray(lengths))
+    xy = [f"{_f(x)} {_f(y)}" for x, y in corners.tolist()]
+    stroke = _f(0.003 * min(lengths))
+    ptr = model.ptr.tolist()
     lines = _header(lengths, scale)
-    for face in model.faces:
-        pts = [model.vertices[i] + np.asarray(off, dtype=float) * larr
-               for i, off in face.corners]
-        fill = _SIDE_FILLS.get(face.sides, "#ffffff")
-        d = "M " + " L ".join(f"{_f(p[0])} {_f(p[1])}" for p in pts) + " Z"
-        lines.append(
-            f'<path d="{d}" fill="{fill}" stroke="#444444" '
-            f'stroke-width="{_f(stroke)}"/>'
-        )
+    lines.extend(
+        f'<path d="M {" L ".join(xy[s:e])} Z" '
+        f'fill="{_SIDE_FILLS.get(sides, "#ffffff")}" stroke="#444444" '
+        f'stroke-width="{stroke}"/>'
+        for s, e, sides in zip(ptr, ptr[1:], model.sides.tolist()))
     if model.generators is not None:
-        r = _f(0.006 * min(lengths))
-        for x, y in model.generators:
-            lines.append(
-                f'<circle cx="{_f(x)}" cy="{_f(y)}" r="{r}" fill="#1f3044"/>'
-            )
+        lines += _dots(model.generators, 0.006 * min(lengths), 'fill="#1f3044"')
     lines.extend(_footer(lengths))
     return "\n".join(lines) + "\n"

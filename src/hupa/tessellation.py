@@ -19,18 +19,20 @@ triangle into i's frame, and its third vertex w in i's frame.  The twin of
 (i, (j, d)) is (j, (i, -d)), and the half-edge with (i, (0, 0)) < (j, d)
 keys the edge.  The table is built once from the hull candidate, checked,
 kept in step by the flip pass, renumbered with the sorted triangles and
-read by validation and the Voronoi walk, which follows w around i.
+read by validation.
 
-The Voronoi tessellation is read off as the dual.  A pattern with fewer
-than three points, or too sparse for a triangulation of its own box, is
-tessellated the same way on a covering torus of box copies, and the cells
-of the first copy are folded back.
+The Voronoi tessellation is read off as the dual, walking the same edges
+as numpy arrays, into CSR cell arrays.  A pattern with fewer than three
+points, or too sparse for a triangulation of its own box, is tessellated
+the same way on a covering torus of box copies, and the cells of the
+first copy are folded back.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -249,7 +251,8 @@ class Triangulation:
     and areas are per-triangle, evaluated in each triangle's canonical
     frame (so circumcenters may fall slightly outside the box).
     half_edges is their half-edge table (see the module docstring): 6N
-    entries, two per edge, kept in step by the flip pass.
+    entries, two per edge, kept in step by the flip pass.  vertex and
+    offset hold the triangles as (F, 3) and (F, 3, 2) integer arrays.
     """
 
     pattern: PointPattern
@@ -258,12 +261,12 @@ class Triangulation:
     circumradii: np.ndarray
     areas: np.ndarray
     half_edges: dict = field(repr=False, compare=False)
+    vertex: np.ndarray = field(repr=False, compare=False)
+    offset: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("circumcenters", "circumradii", "areas"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+        for arr in (self.circumcenters, self.circumradii, self.areas):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
     @property
     def n_vertices(self) -> int:
@@ -286,8 +289,8 @@ class Triangulation:
 
 @dataclass(frozen=True)
 class Cell:
-    """One Voronoi cell: CCW polygon in the generator's frame, plus the
-    loop expressed as references into the tessellation vertex table."""
+    """Read-only view of one Voronoi cell: CCW polygon in the generator's
+    frame, plus the loop as references into the tessellation vertex table."""
 
     generator: int
     polygon: np.ndarray
@@ -296,34 +299,60 @@ class Cell:
     sides: int
     neighbors: tuple     # generator indices, CCW, aligned with polygon sides
 
-    def __post_init__(self):
-        arr = np.asarray(self.polygon, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "polygon", arr)
+
+def _next_corner(ptr: np.ndarray) -> np.ndarray:
+    """Index of the next corner CCW of every corner of the CSR rows."""
+    nxt = np.arange(1, ptr[-1] + 1)
+    full = ptr[1:] > ptr[:-1]
+    nxt[ptr[1:][full] - 1] = ptr[:-1][full]
+    return nxt
+
+
+def _corner_refs(rows: np.ndarray, offsets: np.ndarray) -> list:
+    """(vertex row, (ox, oy)) per corner, in Python ints."""
+    return [(r, (ox, oy)) for r, (ox, oy) in zip(rows.tolist(), offsets.tolist())]
 
 
 @dataclass(frozen=True)
 class Tessellation:
-    """Periodic Voronoi tessellation: one cell per generating point."""
+    """Periodic Voronoi tessellation: one cell per generating point.
+
+    Cell i owns corners ptr[i]:ptr[i + 1], CCW: polygon (E, 2) in the
+    generator's frame, or vertices[corner_row] + corner_offset * lengths;
+    neighbor is the generator across the side to the next corner.  cells
+    holds Cell views of the same data, built on first access.
+    """
 
     pattern: PointPattern
-    cells: tuple
     vertices: np.ndarray   # shared cell-corner table, wrapped into the box
+    ptr: np.ndarray
+    polygon: np.ndarray
+    corner_row: np.ndarray
+    corner_offset: np.ndarray
+    neighbor: np.ndarray
+    area: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.vertices, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "vertices", arr)
+        for arr in (self.vertices, self.ptr, self.polygon, self.corner_row,
+                    self.corner_offset, self.neighbor, self.area):
+            arr.setflags(write=False)
+
+    @cached_property
+    def sides(self) -> np.ndarray:
+        return np.diff(self.ptr)
 
     @property
     def mean_sides(self) -> float:
-        return sum(c.sides for c in self.cells) / len(self.cells)
+        return int(self.sides.sum()) / len(self.sides)
 
-
-def _shoelace(poly: np.ndarray) -> float:
-    x = poly[:, 0]
-    y = poly[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    @cached_property
+    def cells(self) -> tuple:
+        b, nb = self.ptr.tolist(), self.neighbor.tolist()
+        loop = _corner_refs(self.corner_row, self.corner_offset)
+        return tuple(Cell(i, self.polygon[s:e], tuple(loop[s:e]), a, e - s,
+                          tuple(nb[s:e]))
+                     for i, (s, e, a) in enumerate(zip(b, b[1:],
+                                                       self.area.tolist())))
 
 
 def _require_2d(pattern: PointPattern, op: str):
@@ -363,9 +392,12 @@ def delaunay(pattern: PointPattern) -> Triangulation:
         areas[t] = 0.5 * abs(
             (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
         )
+    corners = np.array([(b, ox, oy) for verts in triangles
+                        for b, (ox, oy) in verts]).reshape(-1, 3, 3)
     tri = Triangulation(pattern=pattern, triangles=triangles,
                         circumcenters=centers, circumradii=radii, areas=areas,
-                        half_edges=table)
+                        half_edges=table, vertex=corners[:, :, 0],
+                        offset=corners[:, :, 1:])
     _validate_triangulation(tri)
     return tri
 
@@ -397,32 +429,45 @@ def circumcircle_violations(tri: Triangulation,
     centers = wrap_point(tri.circumcenters, pattern.box)
     radii = tri.circumradii * (1.0 - rel_tol)
     hits = pattern.tree.query_ball_point(centers, radii)
-    violations = 0
-    for t, inside in enumerate(hits):
-        member = {b for b, _ in tri.triangles[t]}
-        violations += sum(1 for p in inside if p not in member)
-    return violations
+    corners = np.repeat(tri.vertex, [len(h) for h in hits], axis=0)
+    inside = np.concatenate(hits).astype(int)[:, None]
+    return int(np.all(corners != inside, axis=1).sum())
 
 
-def _degenerate_edges(tri: Triangulation, tol: float):
-    """Edges whose two adjacent circumcenters coincide (cocircular quads).
+def _half_edge_arrays(tri: Triangulation) -> tuple:
+    """The half-edge table as arrays: half-edge 3t + p runs from corner p
+    to p + 1 of triangle t, with key (src, (dst, delta)) and entry (t,
+    shift, ...).  Also returns twin and order, the half-edges sorted by key;
+    the k-th key and the k-th reversed key (dst, src, -delta) are twins."""
+    src = tri.vertex.ravel()
+    dst = np.roll(tri.vertex, -1, axis=1).ravel()
+    shift = -tri.offset.reshape(-1, 2)
+    delta = np.roll(tri.offset, -1, axis=1).reshape(-1, 2) + shift
+    order = np.lexsort((delta[:, 1], delta[:, 0], dst, src))
+    twin = np.empty_like(order)
+    twin[order] = np.lexsort((-delta[:, 1], -delta[:, 0], src, dst))
+    return src, dst, delta, shift, twin, order
+
+
+def _degenerate_edges(tri: Triangulation, edges: tuple, tol: float):
+    """Mask of the half-edges whose two circumcenters coincide (cocircular
+    quads), and the (left, right) triangle pairs across them, (m, 2).
 
     Decided once per edge in the frame of its key's first vertex, so both
     incident cells later agree on whether the dual edge has zero length.
-    Returns the set of degenerate half-edges, both directions, and the
-    (left, right) triangle pairs across them as an (m, 2) array.
     """
-    table = tri.half_edges
-    keys = list(filter(_is_edge_key, table))
-    ends = [(table[h], table[_twin(h)], h[1][1]) for h in keys]
-    pairs = np.array([(left[0], right[0]) for left, right, _ in ends])
-    shifts = np.array([(*left[1], *_oadd(right[1], d)) for left, right, d in ends])
+    src, dst, delta, shift, twin, _ = edges
+    dx, dy = delta.T
+    key = np.flatnonzero(
+        (src < dst) | ((src == dst) & ((dx > 0) | ((dx == 0) & (dy > 0)))))
+    right = twin[key]
     lengths = np.asarray(tri.pattern.box.lengths)
-    c0 = tri.circumcenters[pairs[:, 0]] + shifts[:, :2] * lengths
-    c1 = tri.circumcenters[pairs[:, 1]] + shifts[:, 2:] * lengths
+    c0 = tri.circumcenters[key // 3] + shift[key] * lengths
+    c1 = tri.circumcenters[right // 3] + (shift[right] + delta[key]) * lengths
     hit = np.hypot(*(c0 - c1).T) <= tol
-    degenerate = {h for h, flag in zip(keys, hit.tolist()) if flag}
-    return degenerate | {_twin(h) for h in degenerate}, pairs[hit]
+    mask = np.zeros(len(src), dtype=bool)
+    mask[key[hit]] = mask[right[hit]] = True
+    return mask, np.column_stack((key[hit] // 3, right[hit] // 3))
 
 
 def voronoi(pattern: PointPattern) -> Tessellation:
@@ -469,33 +514,29 @@ def _voronoi_cover(pattern: PointPattern) -> Tessellation:
     cover = PointPattern(box=cover_box,
                          points=wrap_point(np.vstack(copies), cover_box))
     try:
-        built = _voronoi_dual(cover).cells[:n]
+        dual = _voronoi_dual(cover)
     except TessellationError as err:
         raise TessellationError(
             f"could not tessellate {n} points in the {lengths[0]:g}x{lengths[1]:g} "
             f"box on its {reps[0]}x{reps[1]} covering torus: {err}") from err
 
-    corners = np.vstack([c.polygon for c in built])
+    end = dual.ptr[n]
+    corners = dual.polygon[:end]
     wrapped = wrap_point(corners, box)
     tol = MERGE_TOL_FACTOR * box.min_length
     near = cKDTree(wrapped, boxsize=lengths).query_ball_point(wrapped, tol)
-    rows = np.empty(len(corners), dtype=int)
-    table = []
-    for k, hits in enumerate(near):
-        first = min(hits)
-        if first < k:
-            rows[k] = rows[first]
-        else:
-            rows[k] = len(table)
-            table.append(wrapped[k])
-    table = np.array(table)
-    offsets = np.rint((corners - table[rows]) / lengths).astype(int)
-    refs = [(int(r), (int(ox), int(oy))) for r, (ox, oy) in zip(rows, offsets)]
-    ends = np.cumsum([c.sides for c in built])
-    cells = tuple(replace(c, loop=tuple(refs[end - c.sides:end]),
-                          neighbors=tuple(j % n for j in c.neighbors))
-                  for c, end in zip(built, ends))
-    return Tessellation(pattern=pattern, cells=cells, vertices=table)
+    # each corner takes the row of the first corner it is merged with
+    first = np.array([min(hits) for hits in near])
+    while np.any(first[first] != first):
+        first = first[first]
+    new = first == np.arange(len(first))
+    rows = (np.cumsum(new) - 1)[first]
+    table = wrapped[new]
+    return Tessellation(
+        pattern=pattern, vertices=table, ptr=dual.ptr[:n + 1], polygon=corners,
+        corner_row=rows,
+        corner_offset=np.rint((corners - table[rows]) / lengths).astype(int),
+        neighbor=dual.neighbor[:end] % n, area=dual.area[:n])
 
 
 def _voronoi_dual(pattern: PointPattern) -> Tessellation:
@@ -505,10 +546,12 @@ def _voronoi_dual(pattern: PointPattern) -> Tessellation:
     from scipy.sparse.csgraph import connected_components
 
     tri = delaunay(pattern)
-    table = tri.half_edges
+    n = len(pattern)
     lengths = np.asarray(pattern.box.lengths)
-    tol = MERGE_TOL_FACTOR * pattern.box.min_length
-    degenerate, joined = _degenerate_edges(tri, tol)
+    edges = _half_edge_arrays(tri)
+    src, dst, _, shift, twin, order = edges
+    degenerate, joined = _degenerate_edges(
+        tri, edges, MERGE_TOL_FACTOR * pattern.box.min_length)
 
     # Circumcenters joined across degenerate edges share one row of the
     # vertex table.  connected_components numbers the classes in order of
@@ -518,78 +561,71 @@ def _voronoi_dual(pattern: PointPattern) -> Tessellation:
     _, labels = connected_components(graph, directed=False)
     first = np.unique(labels, return_index=True)[1]
     vertices = wrap_point(tri.circumcenters[first], pattern.box)
-    rows = labels.tolist()
 
-    # The walk around i starts at its smallest half-edge (i, u).  The
-    # checked table holds no half-edge twice, pairs each with its twin and
-    # uses every point, so each walk exists and closes.
-    start: dict = {}
-    for i, u in table:
-        if u < start.setdefault(i, u):
-            start[i] = u
+    # The twin of the half-edge before h is the next one out of h's source,
+    # CCW.  All rings take one step per pass from their smallest key:
+    # ring[ring_ptr[i] + k] is k + 1 steps past point i's start.
+    h = np.arange(len(src))
+    step = twin[h - h % 3 + (h + 2) % 3]
+    degree = np.bincount(src, minlength=n)
+    ring_ptr = np.cumsum(np.r_[0, degree])
+    ring = np.empty_like(h)
+    cur = step[order[ring_ptr[:-1]]]
+    for k in range(int(degree.max())):
+        live = np.flatnonzero(degree > k)
+        ring[ring_ptr[live] + k] = cur[live]
+        cur = step[cur]
 
-    cells = []
-    for i in range(len(pattern)):
-        # (i, u, w) is CCW, so following w walks CCW around i; the edge
-        # i-w is the one crossed into the next triangle.
-        walk = [table[(i, start[i])]]
-        while walk[-1][2] != start[i]:
-            walk.append(table[(i, walk[-1][2])])
-        m = len(walk)
-        # Collapse runs of triangles joined by degenerate edges: each run
-        # contributes one polygon corner; the crossing edge that ends a run
-        # is a real cell side and names the neighbor across it.
-        corners = [tri.circumcenters[tid] + np.asarray(shift) * lengths
-                   for tid, shift, _ in walk]
-        keep = [k for k, (_, _, w) in enumerate(walk)
-                if (i, w) not in degenerate]
-        if len(keep) < 3:
-            raise TessellationError(
-                f"cell of generator {i} collapsed to fewer than 3 corners"
-            )
-        polygon = np.array([corners[(k + 1) % m] for k in keep])
-        # Side j runs from polygon[j] to polygon[j+1] and is dual to the
-        # kept crossing that ends the next corner's run.
-        neighbors = tuple(walk[keep[(j + 1) % len(keep)]][2][0]
-                          for j in range(len(keep)))
-        loop = []
-        for k in keep:
-            row = rows[walk[(k + 1) % m][0]]
-            off = np.rint((corners[(k + 1) % m] - vertices[row]) / lengths)
-            loop.append((row, (int(off[0]), int(off[1]))))
-        area = _shoelace(polygon)
-        cells.append(Cell(generator=i, polygon=polygon, loop=tuple(loop),
-                          area=area, sides=len(polygon), neighbors=neighbors))
-    return Tessellation(pattern=pattern, cells=tuple(cells), vertices=vertices)
+    # An entry's corner is its triangle's circumcenter; its edge is the side
+    # to the next corner.  A run joined by degenerate edges keeps its last
+    # corner, so every kept edge is a cell side facing the neighbour dst.
+    kept = ring[~degenerate[ring]]
+    ptr = np.cumsum(np.r_[0, np.bincount(src[kept], minlength=n)])
+    polygon = tri.circumcenters[kept // 3] + shift[kept] * lengths
+    rows = labels[kept // 3]
+    # Shoelace areas, each from a strided column and a contiguous gather of
+    # the next corners: the BLAS calls, and bits, of a per-cell (m, 2) array.
+    nxt = _next_corner(ptr)
+    (x, y), (xn, yn) = polygon.T, polygon[nxt].T.copy()
+    b = ptr.tolist()
+    area = [np.dot(x[s:e], yn[s:e]) - np.dot(y[s:e], xn[s:e])
+            for s, e in zip(b, b[1:])]
+    return Tessellation(
+        pattern=pattern, vertices=vertices, ptr=ptr, polygon=polygon,
+        corner_row=rows,
+        corner_offset=np.rint((polygon - vertices[rows]) / lengths).astype(int),
+        neighbor=dst[kept][nxt], area=0.5 * np.array(area))
 
 
 def _validate_tessellation(tess: Tessellation):
-    box = tess.pattern.box
-    total = float(sum(c.area for c in tess.cells))
-    if not math.isclose(total, box.volume, rel_tol=AREA_RTOL):
+    """Cells of 3 or more corners tile the box, each convex around its
+    generator; a failure names the first failing cell and corner."""
+    collapsed = np.flatnonzero(tess.sides < 3)
+    if len(collapsed):
+        raise TessellationError(f"cell of generator {collapsed[0]} "
+                                f"collapsed to fewer than 3 corners")
+    volume = tess.pattern.box.volume
+    total = float(sum(tess.area.tolist()))
+    if not math.isclose(total, volume, rel_tol=AREA_RTOL):
         raise TessellationError(
-            f"cell areas sum to {total!r}, expected {box.volume!r}"
-        )
-    for cell in tess.cells:
-        poly = cell.polygon
-        g = tess.pattern.points[cell.generator]
-        m = len(poly)
-        scale = max(1.0, float(np.abs(poly).max()))
-        for k in range(m):
-            a = poly[k]
-            b = poly[(k + 1) % m]
-            c = poly[(k + 2) % m]
-            cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-            if cross < -1e-9 * scale * scale:
-                raise TessellationError(
-                    f"cell of generator {cell.generator} is not convex"
-                )
-            side_cross = ((b[0] - a[0]) * (g[1] - a[1])
-                          - (b[1] - a[1]) * (g[0] - a[0]))
-            if side_cross <= 0:
-                raise TessellationError(
-                    f"generator {cell.generator} lies outside its cell"
-                )
+            f"cell areas sum to {total!r}, expected {volume!r}")
+    generator = np.repeat(np.arange(len(tess.sides)), tess.sides)
+    nxt = _next_corner(tess.ptr)
+    (ax, ay), (bx, by) = tess.polygon.T, tess.polygon[nxt].T
+    cx, cy = tess.polygon[nxt[nxt]].T
+    gx, gy = tess.pattern.points[generator].T
+    scale = np.maximum(1.0, np.maximum.reduceat(
+        np.abs(tess.polygon).max(axis=1), tess.ptr[:-1]))[generator]
+    concave = ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+               < -1e-9 * scale * scale)
+    outside = (bx - ax) * (gy - ay) - (by - ay) * (gx - ax) <= 0
+    bad = np.flatnonzero(concave | outside)
+    if len(bad) and concave[bad[0]]:
+        raise TessellationError(
+            f"cell of generator {generator[bad[0]]} is not convex")
+    if len(bad):
+        raise TessellationError(
+            f"generator {generator[bad[0]]} lies outside its cell")
 
 
 @dataclass(frozen=True)
@@ -611,13 +647,8 @@ def _cv(values: np.ndarray) -> float:
     return float(values.std()) / mean
 
 
-def _edge_lengths(cell: Cell) -> np.ndarray:
-    poly = cell.polygon
-    return np.hypot(*(np.roll(poly, -1, axis=0) - poly).T)
-
-
 def cell_statistics(tess: Tessellation) -> CellStats:
-    return _pooled_stats(tess.cells)
+    return _pooled_stats([tess])
 
 
 def ensemble_cell_statistics(patterns: Iterable[PointPattern]) -> CellStats:
@@ -627,24 +658,20 @@ def ensemble_cell_statistics(patterns: Iterable[PointPattern]) -> CellStats:
         raise ValueError("need at least one pattern")
     if len({p.dim for p in patterns}) != 1:
         raise ValueError("patterns mix dimensions")
-    cells = []
-    for p in patterns:
-        cells.extend(voronoi(p).cells)
-    return _pooled_stats(cells)
+    return _pooled_stats([voronoi(p) for p in patterns])
 
 
-def _pooled_stats(cells) -> CellStats:
-    areas = np.array([c.area for c in cells])
-    sides = [c.sides for c in cells]
-    hist: dict = {}
-    for s in sides:
-        hist[s] = hist.get(s, 0) + 1
-    edges = np.concatenate([_edge_lengths(c) for c in cells])
+def _pooled_stats(tessellations) -> CellStats:
+    areas = np.concatenate([t.area for t in tessellations])
+    counts = np.bincount(np.concatenate([t.sides for t in tessellations]))
+    edges = np.concatenate([
+        np.hypot(*(t.polygon[_next_corner(t.ptr)] - t.polygon).T)
+        for t in tessellations])
     return CellStats(
-        n_cells=len(cells),
+        n_cells=len(areas),
         mean_area=float(areas.mean()),
         cv_area=_cv(areas),
-        side_histogram=dict(sorted(hist.items())),
+        side_histogram={s: int(counts[s]) for s in np.flatnonzero(counts).tolist()},
         mean_edge_length=float(edges.mean()),
         cv_edge_length=_cv(edges),
     )
@@ -668,36 +695,48 @@ class FaceRecord:
 class FaceModel:
     """Geometry view shared by the text writer, loader, and renderer.
 
-    Corner positions are vertices[i] + (ox, oy) * lengths; generators are
-    the seed points when known (None for loaded files).
+    CSR faces as in Tessellation, with stored area and sides columns;
+    generators are the seed points when known (None for loaded files).
+    faces holds FaceRecord views of the same data, built on first access.
     """
 
     rule: str
     lengths: tuple
     vertices: np.ndarray
-    faces: tuple
+    ptr: np.ndarray
+    corner_row: np.ndarray
+    corner_offset: np.ndarray
+    area: np.ndarray
+    sides: np.ndarray
     provenance: str = ""
     generators: np.ndarray | None = None
+
+    @cached_property
+    def faces(self) -> tuple:
+        ptr = self.ptr.tolist()
+        corners = _corner_refs(self.corner_row, self.corner_offset)
+        return tuple(FaceRecord(corners=tuple(corners[s:e]), area=a, sides=m)
+                     for s, e, a, m in zip(ptr, ptr[1:], self.area.tolist(),
+                                           self.sides.tolist()))
 
 
 def face_model(obj) -> FaceModel:
     """Build the face model of a Triangulation or Tessellation."""
     if isinstance(obj, Triangulation):
-        faces = tuple(
-            FaceRecord(corners=tri, area=float(a), sides=3)
-            for tri, a in zip(obj.triangles, obj.areas)
-        )
+        n_faces = len(obj.triangles)
         return FaceModel(rule="delaunay", lengths=obj.pattern.box.lengths,
-                         vertices=obj.pattern.points, faces=faces,
+                         vertices=obj.pattern.points,
+                         ptr=np.arange(0, 3 * n_faces + 1, 3),
+                         corner_row=obj.vertex.ravel(),
+                         corner_offset=obj.offset.reshape(-1, 2),
+                         area=obj.areas, sides=np.full(n_faces, 3),
                          provenance=obj.pattern.provenance)
     if isinstance(obj, Tessellation):
-        faces = tuple(
-            FaceRecord(corners=c.loop, area=c.area, sides=c.sides)
-            for c in obj.cells
-        )
         return FaceModel(rule="voronoi", lengths=obj.pattern.box.lengths,
-                         vertices=obj.vertices, faces=faces,
-                         provenance=obj.pattern.provenance,
+                         vertices=obj.vertices, ptr=obj.ptr,
+                         corner_row=obj.corner_row,
+                         corner_offset=obj.corner_offset, area=obj.area,
+                         sides=obj.sides, provenance=obj.pattern.provenance,
                          generators=obj.pattern.points)
     raise TypeError("expected a Triangulation or Tessellation")
 
@@ -714,16 +753,17 @@ def save_tess(obj, path):
     lengths = ",".join(_F17.format(x) for x in model.lengths)
     lines.append(f"rule={model.rule} dim=2 lengths={lengths} "
                  f"n_vertices={len(model.vertices)} "
-                 f"n_faces={len(model.faces)}")
+                 f"n_faces={len(model.sides)}")
     lines.append(f"provenance={model.provenance}")
-    for vx, vy in np.asarray(model.vertices):
-        lines.append(f"v {_F17.format(vx)} {_F17.format(vy)}")
-    for face in model.faces:
-        parts = [f"f {len(face.corners)}"]
-        for idx, (ox, oy) in face.corners:
-            parts.append(f"{idx} {ox} {oy}")
-        parts.append(f"{_F17.format(face.area)} {face.sides}")
-        lines.append(" ".join(parts))
+    lines.extend(f"v {_F17.format(vx)} {_F17.format(vy)}"
+                 for vx, vy in np.asarray(model.vertices).tolist())
+    corners = [f"{r} {ox} {oy}" for r, (ox, oy)
+               in _corner_refs(model.corner_row, model.corner_offset)]
+    ptr = model.ptr.tolist()
+    lines.extend(
+        f"f {e - s} {' '.join(corners[s:e])} {_F17.format(area)} {sides}"
+        for s, e, area, sides in zip(ptr, ptr[1:], model.area.tolist(),
+                                     model.sides.tolist()))
     text = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -769,39 +809,37 @@ def load_tess(path) -> FaceModel:
         raise bad(f"expected {expected} lines, found {len(raw)}", len(raw))
 
     vertices = np.empty((n_vertices, 2))
-    for k in range(n_vertices):
-        lineno = 4 + k
-        parts = raw[3 + k].split()
+    for k, line in enumerate(raw[3:3 + n_vertices]):
+        parts = line.split()
         if len(parts) != 3 or parts[0] != "v":
-            raise bad("malformed vertex line", lineno)
+            raise bad("malformed vertex line", 4 + k)
         try:
             vertices[k] = (float(parts[1]), float(parts[2]))
         except ValueError:
-            raise bad("malformed vertex coordinates", lineno) from None
+            raise bad("malformed vertex coordinates", 4 + k) from None
 
-    faces = []
-    for k in range(n_faces):
-        lineno = 4 + n_vertices + k
-        parts = raw[3 + n_vertices + k].split()
+    counts, corners, areas, sides = [], [], [], []
+    for lineno, line in enumerate(raw[3 + n_vertices:], start=4 + n_vertices):
+        parts = line.split()
         try:
             if len(parts) < 2 or parts[0] != "f":
                 raise ValueError
             m = int(parts[1])
             if m < 3 or len(parts) != 2 + 3 * m + 2:
                 raise ValueError
-            corners = []
-            for c in range(m):
-                idx = int(parts[2 + 3 * c])
-                ox = int(parts[3 + 3 * c])
-                oy = int(parts[4 + 3 * c])
-                if not 0 <= idx < n_vertices:
-                    raise ValueError
-                corners.append((idx, (ox, oy)))
-            area = float(parts[2 + 3 * m])
-            sides = int(parts[3 + 3 * m])
+            cols = [int(v) for v in parts[2:2 + 3 * m]]
+            if not all(0 <= idx < n_vertices for idx in cols[::3]):
+                raise ValueError
+            areas.append(float(parts[2 + 3 * m]))
+            sides.append(int(parts[3 + 3 * m]))
         except ValueError:
             raise bad("malformed face line", lineno) from None
-        faces.append(FaceRecord(corners=tuple(corners), area=area,
-                                sides=sides))
+        counts.append(m)
+        corners.extend(cols)
+    corners = np.array(corners, dtype=np.int64).reshape(-1, 3)
     return FaceModel(rule=rule, lengths=lengths, vertices=vertices,
-                     faces=tuple(faces), provenance=provenance)
+                     ptr=np.cumsum([0, *counts]), corner_row=corners[:, 0],
+                     corner_offset=corners[:, 1:],
+                     area=np.array(areas, dtype=float),
+                     sides=np.array(sides, dtype=np.int64),
+                     provenance=provenance)

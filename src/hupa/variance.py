@@ -26,6 +26,7 @@ R_SQUARED_FLOOR = 0.9
 CLASS_DEAD_BAND = 0.25
 
 DEFAULT_N_WINDOWS = {2: 10_000, 3: 4_000}
+MAX_WINDOWS = 10_000_000  # 240 MB of 3D centers; more is refused up front
 DEFAULT_N_RADII = 16
 DEFAULT_R_MAX_FACTOR = 0.25
 DEFAULT_R_MIN_SPACINGS = 2.0
@@ -73,9 +74,12 @@ def check_workers(workers) -> int:
 
 
 def random_centers(box: BoxDomain, n: int, seed: int) -> np.ndarray:
-    """n window centers drawn uniformly over the box."""
+    """n window centers drawn uniformly over the box; n is at most
+    MAX_WINDOWS."""
     if n < 1:
         raise ValueError("need at least one window center")
+    if n > MAX_WINDOWS:
+        raise ValueError(f"at most {MAX_WINDOWS} window centers, got {n}")
     rng = np.random.default_rng(seed)
     return rng.random((n, box.dim)) * box.lengths_array()
 

@@ -187,6 +187,167 @@ def voronoi_cell_faults(points, lengths, generator, polygon, neighbors,
     return faults
 
 
+def _wrap(p, lengths):
+    out = p - np.floor(p / lengths) * lengths
+    return np.where(out >= lengths, 0.0, out)
+
+
+def voronoi_dual_reference(tri, tol=None):
+    """The Voronoi dual of a periodic Delaunay triangulation, one cell and
+    one corner at a time, read off its half-edge dict.
+
+    tri.half_edges maps (i, (j, d)) to (triangle, shift, w): the CCW
+    triangle (i, j, w) left of that edge, moved into i's frame.  Edges whose
+    two circumcenters lie within tol (default 1e-10 of the shorter box side)
+    are degenerate, decided in the frame of the half-edge with
+    (i, (0, 0)) < (j, d); their circumcenters share one vertex row, and rows
+    are numbered by their smallest triangle.  Returns (cells, vertices), a
+    cell being a dict of polygon, loop, area, sides and neighbors.  Raises
+    ValueError for a cell left with fewer than 3 corners.
+    """
+    table = tri.half_edges
+    cc = tri.circumcenters
+    lengths = np.asarray(tri.pattern.box.lengths)
+    if tol is None:
+        tol = 1e-10 * float(lengths.min())
+
+    degenerate = set()
+    root = list(range(len(cc)))  # union-find, each class rooted at its minimum
+
+    def find(t):
+        while root[t] != t:
+            t = root[t]
+        return t
+
+    for (i, (j, d)), (t0, s0, _) in table.items():
+        if (i, (0, 0)) < (j, d):
+            twin = (j, (i, (-d[0], -d[1])))
+            t1, s1, _ = table[twin]
+            c0 = cc[t0] + np.asarray(s0) * lengths
+            c1 = cc[t1] + (np.asarray(s1) + np.asarray(d)) * lengths
+            if np.hypot(*(c0 - c1)) <= tol:
+                degenerate |= {(i, (j, d)), twin}
+                a, b = sorted((find(t0), find(t1)))
+                root[b] = a
+    rows, first = {}, []
+    for t in range(len(cc)):
+        if find(t) not in rows:
+            rows[find(t)] = len(first)
+            first.append(t)
+    rows = [rows[find(t)] for t in range(len(cc))]
+    vertices = _wrap(cc[first], lengths)
+
+    start = {}
+    for i, u in table:
+        if u < start.setdefault(i, u):
+            start[i] = u
+    cells = []
+    for i in range(len(tri.pattern.points)):
+        walk = [table[(i, start[i])]]
+        while walk[-1][2] != start[i]:
+            walk.append(table[(i, walk[-1][2])])
+        m = len(walk)
+        corners = [cc[t] + np.asarray(shift) * lengths for t, shift, _ in walk]
+        keep = [k for k, (_, _, w) in enumerate(walk)
+                if (i, w) not in degenerate]
+        if len(keep) < 3:
+            raise ValueError(
+                f"cell of generator {i} collapsed to fewer than 3 corners")
+        polygon = np.array([corners[(k + 1) % m] for k in keep])
+        loop = []
+        for k in keep:
+            row = rows[walk[(k + 1) % m][0]]
+            off = np.rint((corners[(k + 1) % m] - vertices[row]) / lengths)
+            loop.append((row, (int(off[0]), int(off[1]))))
+        x, y = polygon[:, 0], polygon[:, 1]
+        area = 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+        cells.append({
+            "polygon": polygon, "loop": tuple(loop), "area": area,
+            "sides": len(keep),
+            "neighbors": tuple(walk[keep[(j + 1) % len(keep)]][2][0]
+                               for j in range(len(keep))),
+        })
+    return cells, vertices
+
+
+def tessellation_fault_reference(points, volume, cells, rtol=1e-9):
+    """The first fault of a periodic Voronoi tessellation, checked one cell
+    and one corner at a time, or None.  cells are (generator, polygon, area)
+    triples; the checks run in order: 3 or more corners per cell, areas
+    summing to volume, then per corner convexity and the generator strictly
+    left of the side."""
+    for g, poly, _ in cells:
+        if len(poly) < 3:
+            return f"cell of generator {g} collapsed to fewer than 3 corners"
+    total = float(sum(area for _, _, area in cells))
+    if not math.isclose(total, volume, rel_tol=rtol):
+        return f"cell areas sum to {total!r}, expected {volume!r}"
+    for g, poly, _ in cells:
+        m = len(poly)
+        scale = max(1.0, float(np.abs(poly).max()))
+        gx, gy = points[g]
+        for k in range(m):
+            a, b, c = poly[k], poly[(k + 1) % m], poly[(k + 2) % m]
+            cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+            if cross < -1e-9 * scale * scale:
+                return f"cell of generator {g} is not convex"
+            if (b[0] - a[0]) * (gy - a[1]) - (b[1] - a[1]) * (gx - a[0]) <= 0:
+                return f"generator {g} lies outside its cell"
+    return None
+
+
+def tess_text_reference(rule, lengths, provenance, vertices, faces):
+    """The .tess text of faces given as (corners, area, sides), corners as
+    (vertex index, (ox, oy)) pairs, written one field at a time."""
+    f17 = "{:#.17g}".format
+    lines = ["#hupa-tess v1",
+             f"rule={rule} dim=2 lengths={','.join(f17(x) for x in lengths)} "
+             f"n_vertices={len(vertices)} n_faces={len(faces)}",
+             f"provenance={provenance}"]
+    for vx, vy in vertices:
+        lines.append(f"v {f17(vx)} {f17(vy)}")
+    for corners, area, sides in faces:
+        parts = [f"f {len(corners)}"]
+        for idx, (ox, oy) in corners:
+            parts.append(f"{idx} {ox} {oy}")
+        parts.append(f"{f17(area)} {sides}")
+        lines.append(" ".join(parts))
+    return "\n".join(lines) + "\n"
+
+
+def svg_face_paths_reference(lengths, vertices, faces, fills):
+    """The SVG path line of each face (corners, sides), one corner at a time."""
+    larr = np.asarray(lengths)
+    stroke = f"{0.003 * min(lengths):.6f}"
+    lines = []
+    for corners, sides in faces:
+        pts = [vertices[i] + np.asarray(off, dtype=float) * larr
+               for i, off in corners]
+        d = "M " + " L ".join(f"{p[0]:.6f} {p[1]:.6f}" for p in pts) + " Z"
+        lines.append(f'<path d="{d}" fill="{fills.get(sides, "#ffffff")}" '
+                     f'stroke="#444444" stroke-width="{stroke}"/>')
+    return lines
+
+
+def cell_stats_reference(cells):
+    """Pooled cell statistics of (polygon, area) pairs, cell by cell."""
+    areas = np.array([area for _, area in cells])
+    hist = {}
+    for poly, _ in cells:
+        hist[len(poly)] = hist.get(len(poly), 0) + 1
+    edges = np.concatenate([np.hypot(*(np.roll(poly, -1, axis=0) - poly).T)
+                            for poly, _ in cells])
+
+    def cv(values):
+        mean = float(values.mean())
+        return 0.0 if mean == 0.0 else float(values.std()) / mean
+
+    return {"n_cells": len(cells), "mean_area": float(areas.mean()),
+            "cv_area": cv(areas), "side_histogram": dict(sorted(hist.items())),
+            "mean_edge_length": float(edges.mean()),
+            "cv_edge_length": cv(edges)}
+
+
 def rsa_reference(lengths, hard_radius, target, max_attempts, seed):
     """Random sequential addition one draw at a time, each candidate tested
     against every accepted center.
@@ -317,8 +478,8 @@ class _PnmTokens:
 def pnm_reference(data: bytes, threshold=None) -> np.ndarray:
     """Dark bits of a P1/P2/P4/P5 image, read one byte at a time.
 
-    PGM values <= threshold are dark, PBM 1-bits are dark; a P2 value
-    above maxval is an error at the value's offset.  Raises
+    PGM values <= threshold are dark, PBM 1-bits are dark; a P2 value or
+    P5 byte above maxval is an error at the value's offset.  Raises
     PnmReferenceError with the message and offset a malformed input
     should give.  The threshold rules are not checked here.
     """
@@ -352,6 +513,10 @@ def pnm_reference(data: bytes, threshold=None) -> np.ndarray:
         if magic == b"P4":
             return np.array([[(row[j // 8] >> (7 - j % 8)) & 1 == 1
                               for j in range(width)] for row in rows])
+        for at in range(start, start + row_bytes * height):
+            if data[at] > maxval:
+                raise PnmReferenceError(
+                    f"pixel value above maxval {maxval}", at)
         return np.array([[v <= threshold for v in row] for row in rows])
     vals = []
     for _ in range(count):

@@ -6,12 +6,16 @@ import sys
 import numpy as np
 import pytest
 
-from hupa import cli
+import hupa.tessellation
+from hupa import cli, svg
 from hupa.field import load_field
 from hupa.generators import GENERATORS, GeneratorSpec, generate
 from hupa.pattern import BoxDomain, PointPattern, load_pattern, save_pattern
 from hupa.report import load_schema, validate_report
-from hupa.tessellation import load_tess, voronoi
+from hupa.tessellation import CellStats, delaunay, load_tess, voronoi
+from hupa.variance import MAX_WINDOWS
+from oracles import (cell_stats_reference, svg_face_paths_reference,
+                     tess_text_reference, voronoi_dual_reference)
 
 
 def run(capsys, *argv):
@@ -243,6 +247,17 @@ class TestVariance:
         assert exc.value.code == 2
         assert "must be >= 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["variance", "field"])
+    def test_window_count_above_limit_is_usage_error(self, capsys, tmp_path,
+                                                     command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, str(tmp_path / "in.pbm"),
+                      "--windows", "100000000000"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"must be <= {MAX_WINDOWS}" in err
+        assert "Traceback" not in err
+
     def test_missing_input_exits_1(self, capsys, tmp_path):
         code, _, stderr = run(capsys, "variance",
                               str(tmp_path / "nope.pat"),
@@ -333,6 +348,71 @@ class TestTessellate:
             assert np.allclose(corners, cell.polygon, atol=1e-9)
             assert face.area == cell.area
             assert face.sides == cell.sides
+
+    def test_bytes_match_reference_path(self, capsys, tmp_path, monkeypatch):
+        # the array dual, statistics, writer and renderer give the bytes of
+        # the one-cell-at-a-time reference path on a 1k-point pattern
+        gen_pattern(capsys, tmp_path, "p.pat", "generate", "poisson",
+                    "--box", "32x32", "--rho", "1", "--seed", "3")
+
+        def tessellate(sub):
+            (tmp_path / sub).mkdir()
+            monkeypatch.chdir(tmp_path / sub)
+            assert run(capsys, "tessellate", "../p.pat", "--svg",
+                       "-o", "cells.tess")[0] == 0
+            return [(tmp_path / sub / name).read_bytes()
+                    for name in ("cells.tess", "cells.svg", "cells.json")]
+
+        def ref_voronoi(pattern):
+            return (pattern, *voronoi_dual_reference(delaunay(pattern)))
+
+        def ref_stats(ref):
+            return CellStats(**cell_stats_reference(
+                [(c["polygon"], c["area"]) for c in ref[1]]))
+
+        def ref_save(ref, path):
+            pattern, cells, vertices = ref
+            text = tess_text_reference(
+                "voronoi", pattern.box.lengths, pattern.provenance, vertices,
+                [(c["loop"], c["area"], c["sides"]) for c in cells])
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+
+        def ref_render(ref, scale):
+            pattern, cells, vertices = ref
+            lengths = pattern.box.lengths
+            r = f"{0.006 * min(lengths):.6f}"
+            lines = (svg._header(lengths, scale)
+                     + svg_face_paths_reference(
+                         lengths, vertices,
+                         [(c["loop"], c["sides"]) for c in cells],
+                         svg._SIDE_FILLS)
+                     + [f'<circle cx="{x:.6f}" cy="{y:.6f}" r="{r}" '
+                        f'fill="#1f3044"/>' for x, y in pattern.points]
+                     + svg._footer(lengths))
+            return "\n".join(lines) + "\n"
+
+        arrays = tessellate("arrays")
+        for name, fn in (("voronoi", ref_voronoi), ("cell_statistics", ref_stats),
+                         ("save_tess", ref_save), ("face_model", lambda ref: ref),
+                         ("render_tess_model", ref_render)):
+            monkeypatch.setattr(cli, name, fn)
+        assert tessellate("reference") == arrays
+
+    def test_builds_no_cell_or_face_record(self, capsys, tmp_path, monkeypatch):
+        made = []
+        for name in ("Cell", "FaceRecord"):
+            cls = getattr(hupa.tessellation, name)
+            monkeypatch.setattr(hupa.tessellation, name,
+                                lambda *a, _cls=cls, **k: made.append(_cls)
+                                or _cls(*a, **k))
+        pat = gen_pattern(capsys, tmp_path, "p.pat", "generate", "poisson",
+                          "--box", "10x10", "--rho", "1", "--seed", "6")
+        out = str(tmp_path / "cells.tess")
+        assert run(capsys, "tessellate", pat, "--svg", "-o", out)[0] == 0
+        assert made == []
+        # the counter sees the views when they are asked for
+        assert len(load_tess(out).faces) == len(made) > 0
 
     def test_degenerate_pattern_exits_1(self, capsys, tmp_path):
         pat = tmp_path / "dup.pat"
@@ -445,6 +525,16 @@ class TestField:
                               "-o", str(tmp_path / "f"))
         assert code == 1
         assert "byte 13: pixel value above maxval 255" in stderr
+
+    def test_p5_byte_above_maxval_is_error(self, capsys, tmp_path):
+        img = tmp_path / "big.pgm"
+        img.write_bytes(b"P5\n2 1\n100\n" + bytes([7, 101]))
+        code, _, stderr = run(capsys, "field", str(img), "--threshold", "3",
+                              "-o", str(tmp_path / "f"))
+        assert code == 1
+        assert "byte 12: pixel value above maxval 100" in stderr
+        assert "Traceback" not in stderr
+        assert not os.path.exists(tmp_path / "f.json")
 
     def test_pattern_input_rejected(self, capsys, tmp_path):
         pat = gen_pattern(capsys, tmp_path, "p.pat", "generate", "poisson",

@@ -450,6 +450,16 @@ class TestFieldIO:
             load_field(path, threshold=3)
         assert err.value.offset == 11
 
+    def test_p5_byte_above_maxval(self, tmp_path):
+        path = tmp_path / "big.pgm"
+        path.write_bytes(b"P5\n3 2\n7\n" + bytes([1, 7, 0, 200, 3, 9]))
+        with pytest.raises(FieldFormatError,
+                           match="pixel value above maxval 7") as err:
+            load_field(path, threshold=5)
+        assert err.value.offset == 12
+        path.write_bytes(b"P5\n3 2\n7\n" + bytes([1, 7, 0, 6, 3, 7]))
+        assert load_field(path, threshold=5).bits.sum() == 3
+
     def test_p2_single_digit_values(self, tmp_path):
         path = tmp_path / "d.pgm"
         path.write_bytes(b"P2\n5 1\n9\n5 7 0 9 3\n")

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import hupa.variance
 from hupa import cli
+from hupa.pattern import load_pattern
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -42,3 +43,22 @@ def test_variance_run_is_traced(monkeypatch, capsys, tmp_path):
     assert trace.counts["variance.window_counts_calls"] == 16
     assert trace.counts["variance.windows_evaluated"] == 16 * 200
     assert trace.inclusive["variance.default_radii"] > 0
+
+
+def test_tessellate_run_is_traced(monkeypatch, capsys, tmp_path):
+    pat = str(tmp_path / "p.pat")
+    assert cli.main(["generate", "poisson", "--box", "12x12", "--rho", "1",
+                     "-o", pat]) == 0
+    trace = load_layer_trace(monkeypatch)
+    try:
+        trace.install()
+        assert cli.main(["tessellate", pat, "--rule", "voronoi", "--svg",
+                         "-o", str(tmp_path / "cells.tess")]) == 0
+    finally:
+        trace.uninstall()
+    capsys.readouterr()
+    for span in ("tessellation.delaunay", "tessellation.voronoi",
+                 "tessellation.cell_statistics", "tessellation.face_model",
+                 "tessellation.save_tess", "svg.render"):
+        assert trace.inclusive[span] > 0, span
+    assert trace.counts["tessellation.triangles"] == 2 * len(load_pattern(pat))

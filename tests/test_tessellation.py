@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from hupa.pattern import BoxDomain, PointPattern, wrap_point
 from hupa.tessellation import (FaceModel, cell_statistics, circumcircle_violations,
                                delaunay, ensemble_cell_statistics, face_model,
                                load_tess, save_tess, voronoi)
-from oracles import shoelace_area, voronoi_cell_faults
+from oracles import (shoelace_area, tessellation_fault_reference,
+                     voronoi_cell_faults, voronoi_dual_reference)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -56,7 +58,7 @@ class TestDelaunayStructure:
     def test_voronoi_builds_half_edge_table_once(self, poisson32,
                                                  monkeypatch):
         # one table for the hull candidate, kept in step by the flip pass
-        # and then read by validation and the dual walk
+        # and then read by validation
         calls = []
         build = hupa.tessellation._half_edge_table
 
@@ -70,6 +72,18 @@ class TestDelaunayStructure:
 
     def test_empty_circumcircles(self, poisson32):
         assert circumcircle_violations(delaunay(poisson32)) == 0
+
+    def test_circumcircle_violations_match_a_loop(self, poisson32):
+        # doubled circumradii take in points beyond each triangle's corners
+        tri = delaunay(poisson32)
+        tri = replace(tri, circumradii=2.0 * tri.circumradii)
+        hits = poisson32.tree.query_ball_point(
+            wrap_point(tri.circumcenters, poisson32.box),
+            tri.circumradii * (1.0 - hupa.tessellation.CIRCUMCIRCLE_RTOL))
+        want = sum(p not in {b for b, _ in verts}
+                   for verts, inside in zip(tri.triangles, hits)
+                   for p in inside)
+        assert circumcircle_violations(tri) == want > 0
 
     def test_triangular_lattice_equilateral(self):
         pat = lattice((8.0, 8.0 * SQRT3 / 2.0), "triangular")
@@ -157,7 +171,11 @@ class TestDelaunayStructure:
                           + (np.asarray(s1) + np.asarray(d)) * lengths)
                     if math.hypot(*(c0 - c1)) <= tol:
                         want |= {(i, (j, d)), twin}
-            got, joined = hupa.tessellation._degenerate_edges(tri, tol)
+            edges = hupa.tessellation._half_edge_arrays(tri)
+            mask, joined = hupa.tessellation._degenerate_edges(tri, edges, tol)
+            src, dst, delta = edges[:3]
+            got = {(src[h], (dst[h], tuple(delta[h])))
+                   for h in np.flatnonzero(mask).tolist()}
             assert got == want
             assert len(joined) == n_degenerate == len(want) // 2
 
@@ -433,6 +451,189 @@ def test_half_edge_table_properties(n, seed):
     assert degrees == 6 * n
     shuffled = make_pattern(pat.points[rng.permutation(n)], lengths)
     assert corner_keys(delaunay(shuffled)) == corner_keys(tri)
+
+
+def reference_pattern(kind, size, seed):
+    """A small pattern of one kind: Poisson, square or triangular lattices
+    shifted by a random offset (cocircular quads everywhere), a perturbed
+    lattice, or 1 to 6 random points (covering torus)."""
+    rng = np.random.default_rng(seed)
+    if kind == "poisson":
+        return poisson((2.0 * size, 1.5 * size), 1.0, seed)
+    if kind == "perturbed":
+        return generate(GeneratorSpec(
+            kind="perturbed_lattice", box=BoxDomain(lengths=(size, size)),
+            seed=seed, params={"spacing": 1.0, "jitter": 0.3}))
+    if kind == "few":
+        lengths = tuple(rng.uniform(1.0, 10.0, size=2))
+        return make_pattern(rng.uniform(size=(size - 1, 2)) * lengths, lengths)
+    if kind == "square":
+        pat = lattice((float(size), float(size)), "square")
+    else:
+        m = 2 * (size // 2)
+        pat = lattice((float(m), m * SQRT3 / 2.0), "triangular")
+    return make_pattern(wrap_point(pat.points + rng.uniform(size=2), pat.box),
+                        pat.box.lengths)
+
+
+def assert_matches_reference(tess, tol=None):
+    cells, vertices = voronoi_dual_reference(delaunay(tess.pattern), tol)
+    assert np.array_equal(tess.vertices, vertices)
+    assert len(tess.cells) == len(cells)
+    for cell, ref in zip(tess.cells, cells):
+        assert np.array_equal(cell.polygon, ref["polygon"])
+        assert cell.loop == ref["loop"]
+        assert cell.neighbors == ref["neighbors"]
+        assert cell.area == ref["area"]
+        assert cell.sides == ref["sides"]
+
+
+@given(kind=st.sampled_from(("poisson", "square", "triangular", "perturbed",
+                             "few")),
+       size=st.integers(2, 7), seed=st.integers(0, 2**32 - 1))
+def test_dual_matches_reference(kind, size, seed):
+    # every dual that voronoi() builds, on the pattern's own torus or on its
+    # cover, is the reference walk's dual bit for bit
+    built = []
+    dual = hupa.tessellation._voronoi_dual
+
+    def spy(pattern):
+        built.append(dual(pattern))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(hupa.tessellation, "_voronoi_dual", spy)
+        voronoi(reference_pattern(kind, size, seed))
+    assert len(built) == 1
+    assert_matches_reference(built[0])
+
+
+def test_dual_matches_reference_on_1k_poisson():
+    assert_matches_reference(
+        hupa.tessellation._voronoi_dual(poisson((32.0, 32.0), 1.0, seed=3)))
+
+
+def test_collapsed_cell_named_like_reference(monkeypatch):
+    # a merge tolerance above the shortest cell sides collapses the
+    # smallest cells; the first one is named, as the reference walk does
+    pat = poisson((16.0, 16.0), 1.0, seed=21)
+    factor = 0.02
+    monkeypatch.setattr(hupa.tessellation, "MERGE_TOL_FACTOR", factor)
+    with pytest.raises(ValueError) as want:
+        voronoi_dual_reference(delaunay(pat), factor * 16.0)
+    with pytest.raises(TessellationError) as got:
+        voronoi(pat)
+    assert str(got.value) == str(want.value)
+    assert "collapsed to fewer than 3 corners" in str(got.value)
+
+
+def fault_reference(tess):
+    return tessellation_fault_reference(
+        tess.pattern.points, tess.pattern.box.volume,
+        [(c.generator, c.polygon, c.area) for c in tess.cells])
+
+
+def reversed_cells(tess, cells):
+    polygon = tess.polygon.copy()
+    for g in cells:
+        s, e = tess.ptr[g], tess.ptr[g + 1]
+        polygon[s:e] = polygon[s:e][::-1]
+    return replace(tess, polygon=polygon)
+
+
+def moved_generators(tess, cells):
+    points = tess.pattern.points.copy()
+    for g in cells:
+        points[g] += np.asarray(tess.pattern.box.lengths) / 2.0
+    return replace(tess, pattern=make_pattern(
+        wrap_point(points, tess.pattern.box), tess.pattern.box.lengths))
+
+
+def inserted_corner(tess, g, k, point):
+    """tess with point inserted into cell g's loop after its corner k."""
+    at = tess.ptr[g] + k + 1
+    ptr = tess.ptr.copy()
+    ptr[g + 1:] += 1
+    return replace(
+        tess, ptr=ptr, polygon=np.insert(tess.polygon, at, point, axis=0),
+        corner_row=np.insert(tess.corner_row, at, 0),
+        corner_offset=np.insert(tess.corner_offset, at, (0, 0), axis=0),
+        neighbor=np.insert(tess.neighbor, at, tess.neighbor[at - 1]))
+
+
+class TestValidationMutations:
+    """_validate_tessellation on altered arrays gives the message of the
+    one-cell-at-a-time reference, naming the same first failing cell."""
+
+    @pytest.fixture(scope="class")
+    def tess(self):
+        return voronoi(poisson((16.0, 16.0), 1.0, seed=11))
+
+    @staticmethod
+    def check(tess, text):
+        want = fault_reference(tess)
+        with pytest.raises(TessellationError) as got:
+            hupa.tessellation._validate_tessellation(tess)
+        assert str(got.value) == want
+        assert text in want
+
+    def test_valid_tessellation_passes(self, tess):
+        hupa.tessellation._validate_tessellation(tess)
+        assert fault_reference(tess) is None
+
+    def test_reversed_polygon_is_not_convex(self, tess):
+        self.check(reversed_cells(tess, (40, 17)),
+                   "cell of generator 17 is not convex")
+
+    def test_moved_generator_lies_outside(self, tess):
+        self.check(moved_generators(tess, (33, 9)),
+                   "generator 9 lies outside its cell")
+
+    @pytest.mark.parametrize("concave, outside, text", [
+        (30, 12, "generator 12 lies outside its cell"),
+        (12, 30, "cell of generator 12 is not convex"),
+    ])
+    def test_first_failing_cell_is_named(self, tess, concave, outside, text):
+        self.check(moved_generators(reversed_cells(tess, (concave,)),
+                                    (outside,)), text)
+
+    def test_convexity_tolerance_scales_with_the_cell(self, tess):
+        # a corner pushed into a side of a cell far from the origin makes a
+        # cross product of -0.5 or -2 times the tolerance 1e-9 * scale**2
+        far = np.abs(tess.polygon).max(axis=1) > 12.0
+        g = int(tess.ptr.searchsorted(np.argmax(far), side="right")) - 1
+        poly = tess.polygon[tess.ptr[g]:tess.ptr[g + 1]]
+        scale = float(np.abs(poly).max())
+        a, c = poly[0], poly[1]
+        side = float(np.hypot(*(c - a)))
+        inward = np.array([a[1] - c[1], c[0] - a[0]]) / side
+        for factor, fault in ((0.5, None),
+                              (2.0, f"cell of generator {g} is not convex")):
+            push = factor * 1e-9 * scale * scale / side
+            bent = inserted_corner(tess, g, 0, (a + c) / 2 + push * inward)
+            assert fault_reference(bent) == fault
+            if fault is None:
+                hupa.tessellation._validate_tessellation(bent)
+            else:
+                self.check(bent, fault)
+
+    def test_scaled_area_breaks_the_sum(self, tess):
+        area = tess.area.copy()
+        area[5] *= 1.5
+        self.check(replace(tess, area=area), "cell areas sum to ")
+
+    def test_two_corner_cell_collapsed(self, tess):
+        keep = np.ones(len(tess.polygon), dtype=bool)
+        sides = tess.sides.copy()
+        for g in (50, 23):
+            keep[tess.ptr[g] + 2:tess.ptr[g + 1]] = False
+            sides[g] = 2
+        cut = replace(tess, ptr=np.concatenate(([0], np.cumsum(sides))),
+                      polygon=tess.polygon[keep],
+                      corner_row=tess.corner_row[keep],
+                      corner_offset=tess.corner_offset[keep],
+                      neighbor=tess.neighbor[keep])
+        self.check(cut, "cell of generator 23 collapsed to fewer than 3 corners")
 
 
 class TestCellStatistics:

@@ -8,7 +8,7 @@ from hupa import (BinaryField, BoxDomain, CannotFitError, DegenerateInputError,
                   classify, default_radii, fit_scaling, generate_lattice,
                   generate_perturbed_lattice, generate_poisson, grid_centers,
                   radius_sweep, random_centers, variance_curve, window_counts)
-from hupa.variance import MODE_FRACTION, MODE_NUMBER, ScalingFit
+from hupa.variance import MAX_WINDOWS, MODE_FRACTION, MODE_NUMBER, ScalingFit
 from oracles import count_in_window_brute, variance_unbiased
 
 
@@ -141,6 +141,16 @@ class TestVarianceCurve:
         p = PointPattern(box=box, points=np.empty((0, 2)))
         with pytest.raises(DegenerateInputError):
             variance_curve(p, radii=[1.0, 2.0], n_windows=10, seed=0)
+
+    def test_window_count_limit_refused_before_drawing(self, poisson32,
+                                                        monkeypatch):
+        # 10^11 2D centers would take 1.46 TiB; nothing is drawn at all
+        monkeypatch.setattr(np.random, "default_rng", None)
+        for n in (MAX_WINDOWS + 1, 10 ** 11):
+            with pytest.raises(ValueError, match=f"at most {MAX_WINDOWS}"):
+                variance_curve(poisson32, radii=[1.0, 2.0], n_windows=n)
+            with pytest.raises(ValueError, match=f"at most {MAX_WINDOWS}"):
+                random_centers(poisson32.box, n, seed=0)
 
     def test_one_kdtree_per_pattern(self, monkeypatch):
         import hupa.pattern
