@@ -11,15 +11,17 @@ stage produced, flipping runs until every edge passes the exact
 (symbolically perturbed) circumcircle test, which pins down a unique
 triangulation for any input without coincident points.
 
-One half-edge table holds the torus edge structure.  Its key (i, (j, d))
-is the directed edge from point i at offset (0, 0) to point j at offset d,
-so j is given in i's frame; its value (triangle, shift, w) names the CCW
-triangle (i, j, w) to the left of that edge, the shift that moves the
-triangle into i's frame, and its third vertex w in i's frame.  The twin of
-(i, (j, d)) is (j, (i, -d)), and the half-edge with (i, (0, 0)) < (j, d)
-keys the edge.  The table is built once from the hull candidate, checked,
-kept in step by the flip pass, renumbered with the sorted triangles and
-read by validation.
+One half-edge table holds the torus edge structure, as numpy arrays over
+the triangle rows vertex (F, 3) and offset (F, 3, 2).  Half-edge 3t + p runs
+from corner p to corner p + 1 of triangle t.  Its key (src, dst, delta) is
+the directed edge from point src at offset (0, 0) to point dst at offset
+delta, so dst is given in src's frame, and its shift moves triangle t into
+src's frame.  twin pairs each key with its reverse (dst, src, -delta),
+order sorts the half-edges by key, and the half-edge with
+(src, (0, 0)) < (dst, delta) keys its edge.  The table is built and checked
+once per hull candidate, rebuilt after each flip sweep that rewrote
+triangles, and built once more over the sorted triangles; validation and
+the dual walk read that last one.
 
 The Voronoi tessellation is read off as the dual, walking the same edges
 as numpy arrays, into CSR cell arrays.  A pattern with fewer than three
@@ -43,16 +45,12 @@ from .errors import (DegenerateInputError, PatternFormatError,
 from .pattern import BoxDomain, PointPattern, wrap_point
 from .predicates import circumcenter, incircle_perturbed, orient2d
 
-# Offsets and vertices: a vertex is (base point index, (ox, oy)), placing
-# the point at its position plus (ox*Lx, oy*Ly).
-Offset = tuple
-Vertex = tuple
-
 MERGE_TOL_FACTOR = 1e-10
 AREA_RTOL = 1e-9
 CIRCUMCIRCLE_RTOL = 1e-9
 
 _LIFT_ETA_FACTOR = 1e-10
+_FLIP_BLOCK = 4096  # flip quads turned into Python floats at once; bounds memory
 _COVER_MAX_POINTS = 4096
 _TILE_OFFSETS = [(ox, oy) for ox in (-1, 0, 1) for oy in (-1, 0, 1)]
 
@@ -60,23 +58,6 @@ _TILE_OFFSETS = [(ox, oy) for ox in (-1, 0, 1) for oy in (-1, 0, 1)]
 class _TooSparseError(TessellationError):
     """A 1-sheet build failed because the pattern is too sparse for its box;
     voronoi() answers it with the covering torus."""
-
-
-def _oadd(a: Offset, b: Offset) -> Offset:
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _osub(a: Offset, b: Offset) -> Offset:
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _oneg(a: Offset) -> Offset:
-    return (-a[0], -a[1])
-
-
-def _unroll(pts: np.ndarray, lengths, v: Vertex):
-    i, (ox, oy) = v
-    return (pts[i, 0] + ox * lengths[0], pts[i, 1] + oy * lengths[1])
 
 
 def _point_ranks(points: np.ndarray) -> np.ndarray:
@@ -95,55 +76,65 @@ def _point_ranks(points: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _canonical_triangle(verts, pts, lengths):
-    """Unique representative of a torus triangle: the lexicographically
-    smallest vertex comes first with offset (0, 0), orientation CCW."""
-    anchor = min(range(3), key=lambda t: verts[t])
-    rolled = [verts[anchor], verts[(anchor + 1) % 3], verts[(anchor + 2) % 3]]
-    shift = _oneg(rolled[0][1])
-    shifted = [(b, _oadd(o, shift)) for b, o in rolled]
-    a, b, c = (_unroll(pts, lengths, v) for v in shifted)
-    side = orient2d(a, b, c)
-    if side == 0:
-        raise TessellationError("degenerate zero-area triangle")
-    if side < 0:
-        shifted[1], shifted[2] = shifted[2], shifted[1]
-    return tuple(shifted)
+def _anchored(vertex: np.ndarray, offset: np.ndarray) -> tuple:
+    """Each triangle rotated to start at its smallest (index, ox, oy)
+    corner, and moved so that corner sits at offset (0, 0)."""
+    first = np.lexsort((offset[..., 1], offset[..., 0], vertex), axis=1)[:, :1]
+    turn = (first + np.arange(3)) % 3
+    offset = np.take_along_axis(offset, turn[..., None], axis=1)
+    return (np.take_along_axis(vertex, turn, axis=1),
+            offset - offset[:, :1])
 
 
-def _half_edges(tid: int, tri):
-    """(key, value) of the three half-edges of the CCW triangle tri."""
-    for p in range(3):
-        (i, oi), (j, oj), (k, ok) = tri[p], tri[p - 2], tri[p - 1]
-        yield (i, (j, _osub(oj, oi))), (tid, _oneg(oi), (k, _osub(ok, oi)))
+def _canonical(vertex: np.ndarray, offset: np.ndarray) -> tuple:
+    """The distinct CCW triangles, anchored, in sorted row order."""
+    vertex, offset = _anchored(vertex, offset)
+    rows = np.unique(np.concatenate((vertex[..., None], offset), axis=2)
+                     .reshape(-1, 9), axis=0).reshape(-1, 3, 3)
+    return rows[..., 0], rows[..., 1:]
 
 
-def _half_edge_table(tris: dict) -> dict:
-    """The half-edge table of tris, as described in the module docstring."""
-    return dict(entry for tid, tri in tris.items()
-                for entry in _half_edges(tid, tri))
+def _half_edge_arrays(vertex: np.ndarray, offset: np.ndarray) -> tuple:
+    """The half-edge table (src, dst, delta, shift, twin, order) of the
+    triangle rows; see the module docstring.  The k-th key and the k-th
+    reversed key (dst, src, -delta) in sorted order are twins."""
+    src = vertex.ravel()
+    dst = np.roll(vertex, -1, axis=1).ravel()
+    shift = -offset.reshape(-1, 2)
+    delta = np.roll(offset, -1, axis=1).reshape(-1, 2) + shift
+    order = np.lexsort((delta[:, 1], delta[:, 0], dst, src))
+    twin = np.empty_like(order)
+    twin[order] = np.lexsort((-delta[:, 1], -delta[:, 0], src, dst))
+    return src, dst, delta, shift, twin, order
 
 
-def _twin(h):
-    i, (j, delta) = h
-    return (j, (i, _oneg(delta)))
+def _is_key(src: np.ndarray, dst: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Mask of the half-edges that key their edge: (src, (0, 0)) < (dst, delta)."""
+    dx, dy = delta.T
+    return (src < dst) | ((src == dst) & ((dx > 0) | ((dx == 0) & (dy > 0))))
 
 
-def _is_edge_key(h) -> bool:
-    """True for the half-edge (i, u) that keys its edge: (i, (0, 0)) < u."""
-    return (h[0], (0, 0)) < h[1]
+def _prev(h: np.ndarray) -> np.ndarray:
+    """The half-edge before h in its triangle: it ends at h's source and
+    starts at the corner opposite h."""
+    return h - h % 3 + (h + 2) % 3
 
 
-def _check_structure(tris, table: dict, n_points: int) -> bool:
-    """F = 2N faces, no half-edge claimed twice (6N distinct), every
-    half-edge has its twin, and every point is a vertex."""
-    return (len(tris) == 2 * n_points and len(table) == 6 * n_points
-            and all(_twin(h) in table for h in table)
-            and {i for i, _ in table} == set(range(n_points)))
+def _check_structure(edges: tuple, n_points: int) -> bool:
+    """6N half-edges (so F = 2N faces), no key twice, every half-edge
+    paired with its reverse, and every point a source."""
+    src, dst, delta, _, twin, order = edges
+    key = np.column_stack((src, dst, delta))
+    ordered = key[order]
+    return bool(len(src) == 6 * n_points
+                and np.all(np.any(ordered[1:] != ordered[:-1], axis=1))
+                and np.array_equal(key[twin], np.column_stack((dst, src, -delta)))
+                and np.array_equal(np.unique(src), np.arange(n_points)))
 
 
 def _initial_triangulation(pattern: PointPattern, ranks: np.ndarray, eta: float):
-    """Candidate triangulation from the lower hull of the lifted 3x3 tiling.
+    """Candidate triangulation from the lower hull of the lifted 3x3 tiling,
+    as canonical vertex (F, 3) and offset (F, 3, 2) rows.
 
     Each point gets the same finite height in all nine tiles, so whatever
     Qhull decides about near-cocircular quadruples it decides identically
@@ -152,14 +143,14 @@ def _initial_triangulation(pattern: PointPattern, ranks: np.ndarray, eta: float)
     on a lattice the rank is affine in the site index, and affine heights
     would leave every lifted cocircular quad coplanar.  The paraboloid is
     centred on the box, which keeps the lifted coordinate small on long
-    covering tori.
+    covering tori.  Each facet is oriented CCW by one exact orient2d in the
+    frame of its smallest corner.
     """
     pts = pattern.points
-    lengths = pattern.box.lengths
     size = pattern.box.lengths_array()
     n = len(pts)
-    ghost = np.vstack([pts + np.array(off, dtype=float) * size
-                       for off in _TILE_OFFSETS])
+    tiles = np.array(_TILE_OFFSETS)
+    ghost = (pts[None] + tiles[:, None] * size).reshape(-1, 2)
     heights = eta * (ranks + 1.0) * (ranks + 2.0) / n
     rel = ghost - size / 2.0
     lifted = np.column_stack([
@@ -170,19 +161,39 @@ def _initial_triangulation(pattern: PointPattern, ranks: np.ndarray, eta: float)
     lower = hull.simplices[hull.equations[:, 2] < -1e-12]
     centroids = ghost[lower].mean(axis=1)
     kept = lower[np.all((centroids >= 0.0) & (centroids < size), axis=1)]
-    tris = dict.fromkeys(
-        _canonical_triangle([(b, _TILE_OFFSETS[t]) for b, t in zip(bs, ts)],
-                            pts, lengths)
-        for bs, ts in zip((kept % n).tolist(), (kept // n).tolist()))
-    return dict(enumerate(tris))
+    vertex, offset = _anchored(kept.astype(np.int64) % n, tiles[kept // n])
+    sides = np.array([orient2d(a, b, c)
+                      for a, b, c in (pts[vertex] + offset * size).tolist()])
+    if np.any(sides == 0):
+        raise TessellationError("degenerate zero-area triangle")
+    cw = sides < 0
+    vertex[cw, 1:] = vertex[cw, :0:-1]
+    offset[cw, 1:] = offset[cw, :0:-1]
+    return _canonical(vertex, offset)
 
 
-def _flip_to_delaunay(tris: dict, table: dict, pattern: PointPattern,
-                      ranks: np.ndarray) -> tuple:
+def _quads(h: np.ndarray, edges: tuple) -> tuple:
+    """The quads (a, b, c, d) of the key half-edges h, as point indices
+    (m, 4) and offsets (m, 4, 2) in a's frame: the edge a -> b, c left of
+    it and d right of it."""
+    src, dst, delta, shift, twin, _ = edges
+    r = twin[h]
+    hp, rp = _prev(h), _prev(r)
+    quad = np.column_stack((src[h], dst[h], src[hp], src[rp]))
+    qoff = np.stack((np.zeros_like(delta[h]), delta[h], shift[h] - shift[hp],
+                     shift[r] - shift[rp] + delta[h]), axis=1)
+    return quad, qoff
+
+
+def _flip_to_delaunay(vertex: np.ndarray, offset: np.ndarray, edges: tuple,
+                      pattern: PointPattern, ranks: np.ndarray) -> tuple:
     """Lawson's edge-flip loop with exact, symbolically perturbed tests.
 
-    Flips tris in place with their half-edge table in step; returns the
-    sorted triangles, with the table renumbered to match.
+    Takes the triangle rows with their half-edge table and returns the
+    canonical rows of the Delaunay triangulation.  A sweep tests its
+    candidate edges in key order: every edge at first, then the edges of
+    the triangles the previous sweep rewrote.  An edge whose triangle this
+    sweep already flipped waits for the next sweep.
 
     Every edge is examined in the frame of its key's first vertex, so a
     given torus edge always sees the same floating-point coordinates no
@@ -192,54 +203,42 @@ def _flip_to_delaunay(tris: dict, table: dict, pattern: PointPattern,
     failure of that argument into an error instead of a hang.
     """
     pts = pattern.points
-    lengths = pattern.box.lengths
-    next_tid = max(tris, default=0) + 1
-    max_sweeps = 64 + 2 * len(pattern)
-    for _ in range(max_sweeps):
-        flipped_any = False
-        for h in sorted(filter(_is_edge_key, table)):
-            left = table.get(h)
-            right = table.get(_twin(h))
-            if left is None or right is None:
-                if left is None and right is None:
-                    continue  # flipped away earlier in this sweep
-                raise TessellationError("inconsistent edge structure during flips")
-            # Two CCW triangles on opposite sides of the edge: they differ,
-            # and so do c and d, which the right entry gives in j's frame.
-            i, (j, delta) = h
-            t_left, _, vc = left
-            t_right, _, (d, od) = right
-            vd = (d, _oadd(od, delta))
-            va: Vertex = (i, (0, 0))
-            vb: Vertex = (j, delta)
-            pa, pb, pc, pd = (_unroll(pts, lengths, v) for v in (va, vb, vc, vd))
-            s = incircle_perturbed(pa, pb, pc, pd,
-                                   (ranks[i], ranks[j], ranks[vc[0]], ranks[d]))
-            if s == 0:
-                raise TessellationError(
-                    "unresolved degeneracy after symbolic perturbation"
-                )
-            if s < 0:
-                continue
-            # Flip only strictly convex quadrilaterals (a, d, b, c).
-            if (orient2d(pa, pd, pb) <= 0 or orient2d(pd, pb, pc) <= 0
-                    or orient2d(pb, pc, pa) <= 0 or orient2d(pc, pa, pd) <= 0):
-                continue
-            for tid in (t_left, t_right):
-                for key, _ in _half_edges(tid, tris.pop(tid)):
-                    del table[key]
-            for verts in ((va, vd, vc), (vd, vb, vc)):
-                tri = _canonical_triangle(list(verts), pts, lengths)
-                tris[next_tid] = tri
-                table.update(_half_edges(next_tid, tri))
-                next_tid += 1
-            flipped_any = True
-        if not flipped_any:
-            order = sorted(tris, key=tris.__getitem__)
-            renumber = {tid: k for k, tid in enumerate(order)}
-            for h, (tid, shift, w) in table.items():
-                table[h] = (renumber[tid], shift, w)
-            return tuple(tris[tid] for tid in order)
+    size = pattern.box.lengths_array()
+    vertex, offset = vertex.copy(), offset.copy()
+    rewritten = np.ones(len(vertex), dtype=bool)
+    for _ in range(64 + 2 * len(pts)):
+        src, dst, delta, _, twin, order = edges
+        h = order[_is_key(src, dst, delta)[order]]
+        h = h[rewritten[h // 3] | rewritten[twin[h] // 3]]
+        flipped = set()
+        for block in np.split(h, range(_FLIP_BLOCK, len(h), _FLIP_BLOCK)):
+            quad, qoff = _quads(block, edges)
+            for k, (t, u, (pa, pb, pc, pd), rank) in enumerate(zip(
+                    (block // 3).tolist(), (twin[block] // 3).tolist(),
+                    (pts[quad] + qoff * size).tolist(), ranks[quad].tolist())):
+                if t in flipped or u in flipped:
+                    continue
+                s = incircle_perturbed(pa, pb, pc, pd, rank)
+                if s == 0:
+                    raise TessellationError(
+                        "unresolved degeneracy after symbolic perturbation"
+                    )
+                if s < 0:
+                    continue
+                # Flip only strictly convex quadrilaterals (a, d, b, c).
+                if (orient2d(pa, pd, pb) <= 0 or orient2d(pd, pb, pc) <= 0
+                        or orient2d(pb, pc, pa) <= 0
+                        or orient2d(pc, pa, pd) <= 0):
+                    continue
+                (i, j, c, d), (_, ob, oc, od) = quad[k].tolist(), qoff[k].tolist()
+                vertex[t], offset[t] = (i, d, c), ((0, 0), od, oc)
+                vertex[u], offset[u] = (d, j, c), (od, ob, oc)
+                flipped |= {t, u}
+        if not flipped:
+            return _canonical(vertex, offset)
+        rewritten[:] = False
+        rewritten[list(flipped)] = True
+        edges = _half_edge_arrays(vertex, offset)
     raise TessellationError("edge-flip pass did not converge")
 
 
@@ -247,12 +246,13 @@ def _flip_to_delaunay(tris: dict, table: dict, pattern: PointPattern,
 class Triangulation:
     """Periodic Delaunay triangulation.
 
-    triangles holds canonical (index, offset) triples, CCW.  circumcenters
-    and areas are per-triangle, evaluated in each triangle's canonical
-    frame (so circumcenters may fall slightly outside the box).
-    half_edges is their half-edge table (see the module docstring): 6N
-    entries, two per edge, kept in step by the flip pass.  vertex and
-    offset hold the triangles as (F, 3) and (F, 3, 2) integer arrays.
+    vertex (F, 3) and offset (F, 3, 2) hold the triangles as integer rows,
+    CCW, each from its smallest (index, ox, oy) corner at offset (0, 0), in
+    sorted row order; triangles holds the same rows as (index, offset)
+    triples.  circumcenters and areas are per-triangle, evaluated in each
+    triangle's frame (so circumcenters may fall slightly outside the box).
+    half_edges is the table (src, dst, delta, shift, twin, order) of those
+    rows, 6N half-edges, two per edge (see the module docstring).
     """
 
     pattern: PointPattern
@@ -260,7 +260,7 @@ class Triangulation:
     circumcenters: np.ndarray
     circumradii: np.ndarray
     areas: np.ndarray
-    half_edges: dict = field(repr=False, compare=False)
+    half_edges: tuple = field(repr=False, compare=False)
     vertex: np.ndarray = field(repr=False, compare=False)
     offset: np.ndarray = field(repr=False, compare=False)
 
@@ -278,13 +278,15 @@ class Triangulation:
 
     @property
     def n_edges(self) -> int:
-        return len(self.half_edges) // 2
+        return len(self.half_edges[0]) // 2
 
     def edge_keys(self) -> list:
         """Sorted (i, j, delta) keys, one per edge: j's image at offset
         delta is joined to point i, with (i, (0, 0)) < (j, delta)."""
-        return [(i, j, delta) for i, (j, delta)
-                in sorted(filter(_is_edge_key, self.half_edges))]
+        src, dst, delta, _, _, order = self.half_edges
+        h = order[_is_key(src, dst, delta)[order]]
+        return [(i, j, (dx, dy)) for i, j, (dx, dy)
+                in zip(src[h].tolist(), dst[h].tolist(), delta[h].tolist())]
 
 
 @dataclass(frozen=True)
@@ -369,42 +371,42 @@ def delaunay(pattern: PointPattern) -> Triangulation:
     ranks = _point_ranks(pattern.points)
     eta = _LIFT_ETA_FACTOR * pattern.box.min_length ** 2
     for attempt in range(3):
-        tris = _initial_triangulation(pattern, ranks, eta * 100.0 ** attempt)
-        table = _half_edge_table(tris)
-        if _check_structure(tris, table, n):
+        vertex, offset = _initial_triangulation(pattern, ranks,
+                                                eta * 100.0 ** attempt)
+        edges = _half_edge_arrays(vertex, offset)
+        if _check_structure(edges, n):
             break
     else:
         raise _TooSparseError(
             "could not assemble a consistent periodic triangulation; a "
             "triangle may span more than one box period"
         )
-    triangles = _flip_to_delaunay(tris, table, pattern, ranks)
-    pts = pattern.points
-    lengths = pattern.box.lengths
-    centers = np.empty((len(triangles), 2))
-    radii = np.empty(len(triangles))
-    areas = np.empty(len(triangles))
-    for t, verts in enumerate(triangles):
-        a, b, c = (_unroll(pts, lengths, v) for v in verts)
+    vertex, offset = _flip_to_delaunay(vertex, offset, edges, pattern, ranks)
+    corners = pattern.points[vertex] + offset * pattern.box.lengths_array()
+    centers = np.empty((len(vertex), 2))
+    radii = np.empty(len(vertex))
+    areas = np.empty(len(vertex))
+    for t, (a, b, c) in enumerate(corners.tolist()):
         cc = circumcenter(a, b, c)
         centers[t] = cc
         radii[t] = math.hypot(cc[0] - a[0], cc[1] - a[1])
         areas[t] = 0.5 * abs(
             (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
         )
-    corners = np.array([(b, ox, oy) for verts in triangles
-                        for b, (ox, oy) in verts]).reshape(-1, 3, 3)
-    tri = Triangulation(pattern=pattern, triangles=triangles,
-                        circumcenters=centers, circumradii=radii, areas=areas,
-                        half_edges=table, vertex=corners[:, :, 0],
-                        offset=corners[:, :, 1:])
+    tri = Triangulation(
+        pattern=pattern,
+        triangles=tuple(tuple(zip(vs, map(tuple, os)))
+                        for vs, os in zip(vertex.tolist(), offset.tolist())),
+        circumcenters=centers, circumradii=radii, areas=areas,
+        half_edges=_half_edge_arrays(vertex, offset), vertex=vertex,
+        offset=offset)
     _validate_triangulation(tri)
     return tri
 
 
 def _validate_triangulation(tri: Triangulation):
     pattern = tri.pattern
-    if not _check_structure(tri.triangles, tri.half_edges, len(pattern)):
+    if not _check_structure(tri.half_edges, len(pattern)):
         raise TessellationError("triangulation violates the torus edge structure")
     limit = pattern.box.min_length / 2.0
     if float(tri.circumradii.max()) >= limit:
@@ -434,32 +436,15 @@ def circumcircle_violations(tri: Triangulation,
     return int(np.all(corners != inside, axis=1).sum())
 
 
-def _half_edge_arrays(tri: Triangulation) -> tuple:
-    """The half-edge table as arrays: half-edge 3t + p runs from corner p
-    to p + 1 of triangle t, with key (src, (dst, delta)) and entry (t,
-    shift, ...).  Also returns twin and order, the half-edges sorted by key;
-    the k-th key and the k-th reversed key (dst, src, -delta) are twins."""
-    src = tri.vertex.ravel()
-    dst = np.roll(tri.vertex, -1, axis=1).ravel()
-    shift = -tri.offset.reshape(-1, 2)
-    delta = np.roll(tri.offset, -1, axis=1).reshape(-1, 2) + shift
-    order = np.lexsort((delta[:, 1], delta[:, 0], dst, src))
-    twin = np.empty_like(order)
-    twin[order] = np.lexsort((-delta[:, 1], -delta[:, 0], src, dst))
-    return src, dst, delta, shift, twin, order
-
-
-def _degenerate_edges(tri: Triangulation, edges: tuple, tol: float):
+def _degenerate_edges(tri: Triangulation, tol: float):
     """Mask of the half-edges whose two circumcenters coincide (cocircular
     quads), and the (left, right) triangle pairs across them, (m, 2).
 
     Decided once per edge in the frame of its key's first vertex, so both
     incident cells later agree on whether the dual edge has zero length.
     """
-    src, dst, delta, shift, twin, _ = edges
-    dx, dy = delta.T
-    key = np.flatnonzero(
-        (src < dst) | ((src == dst) & ((dx > 0) | ((dx == 0) & (dy > 0)))))
+    src, dst, delta, shift, twin, _ = tri.half_edges
+    key = np.flatnonzero(_is_key(src, dst, delta))
     right = twin[key]
     lengths = np.asarray(tri.pattern.box.lengths)
     c0 = tri.circumcenters[key // 3] + shift[key] * lengths
@@ -548,10 +533,9 @@ def _voronoi_dual(pattern: PointPattern) -> Tessellation:
     tri = delaunay(pattern)
     n = len(pattern)
     lengths = np.asarray(pattern.box.lengths)
-    edges = _half_edge_arrays(tri)
-    src, dst, _, shift, twin, order = edges
+    src, dst, _, shift, twin, order = tri.half_edges
     degenerate, joined = _degenerate_edges(
-        tri, edges, MERGE_TOL_FACTOR * pattern.box.min_length)
+        tri, MERGE_TOL_FACTOR * pattern.box.min_length)
 
     # Circumcenters joined across degenerate edges share one row of the
     # vertex table.  connected_components numbers the classes in order of
@@ -566,7 +550,7 @@ def _voronoi_dual(pattern: PointPattern) -> Tessellation:
     # CCW.  All rings take one step per pass from their smallest key:
     # ring[ring_ptr[i] + k] is k + 1 steps past point i's start.
     h = np.arange(len(src))
-    step = twin[h - h % 3 + (h + 2) % 3]
+    step = twin[_prev(h)]
     degree = np.bincount(src, minlength=n)
     ring_ptr = np.cumsum(np.r_[0, degree])
     ring = np.empty_like(h)

@@ -192,20 +192,39 @@ def _wrap(p, lengths):
     return np.where(out >= lengths, 0.0, out)
 
 
+def half_edge_dict_reference(triangles):
+    """The half-edge table of CCW torus triangles, (i, (j, d)) -> (t, shift,
+    w), built one corner at a time.
+
+    Triangle t = ((i, oi), (j, oj), (k, ok)) gives the key (i, (j, oj - oi))
+    for the edge from point i at offset (0, 0) to point j's image at oj - oi;
+    its value names t, the shift -oi that moves t into i's frame, and the
+    third vertex w = (k, ok - oi) in that frame.  Likewise from j and k.
+    """
+    table = {}
+    for t, tri in enumerate(triangles):
+        for p in range(3):
+            (i, (ix, iy)), (j, (jx, jy)), (k, (kx, ky)) = (
+                tri[p], tri[(p + 1) % 3], tri[(p + 2) % 3])
+            table[(i, (j, (jx - ix, jy - iy)))] = (
+                t, (-ix, -iy), (k, (kx - ix, ky - iy)))
+    return table
+
+
 def voronoi_dual_reference(tri, tol=None):
     """The Voronoi dual of a periodic Delaunay triangulation, one cell and
-    one corner at a time, read off its half-edge dict.
+    one corner at a time, read off the half-edge dict of its triangles.
 
-    tri.half_edges maps (i, (j, d)) to (triangle, shift, w): the CCW
-    triangle (i, j, w) left of that edge, moved into i's frame.  Edges whose
-    two circumcenters lie within tol (default 1e-10 of the shorter box side)
-    are degenerate, decided in the frame of the half-edge with
-    (i, (0, 0)) < (j, d); their circumcenters share one vertex row, and rows
-    are numbered by their smallest triangle.  Returns (cells, vertices), a
-    cell being a dict of polygon, loop, area, sides and neighbors.  Raises
-    ValueError for a cell left with fewer than 3 corners.
+    half_edge_dict_reference(tri.triangles) maps (i, (j, d)) to (triangle,
+    shift, w): the CCW triangle (i, j, w) left of that edge, moved into i's
+    frame.  Edges whose two circumcenters lie within tol (default 1e-10 of
+    the shorter box side) are degenerate, decided in the frame of the
+    half-edge with (i, (0, 0)) < (j, d); their circumcenters share one
+    vertex row, and rows are numbered by their smallest triangle.  Returns
+    (cells, vertices), a cell being a dict of polygon, loop, area, sides and
+    neighbors.  Raises ValueError for a cell left with fewer than 3 corners.
     """
-    table = tri.half_edges
+    table = half_edge_dict_reference(tri.triangles)
     cc = tri.circumcenters
     lengths = np.asarray(tri.pattern.box.lengths)
     if tol is None:

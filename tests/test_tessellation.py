@@ -1,9 +1,10 @@
+import hashlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import hupa.tessellation
@@ -14,7 +15,8 @@ from hupa.pattern import BoxDomain, PointPattern, wrap_point
 from hupa.tessellation import (FaceModel, cell_statistics, circumcircle_violations,
                                delaunay, ensemble_cell_statistics, face_model,
                                load_tess, save_tess, voronoi)
-from oracles import (shoelace_area, tessellation_fault_reference,
+from oracles import (half_edge_dict_reference, incircle_fraction,
+                     shoelace_area, tessellation_fault_reference,
                      voronoi_cell_faults, voronoi_dual_reference)
 
 SQRT3 = math.sqrt(3.0)
@@ -55,20 +57,30 @@ class TestDelaunayStructure:
         assert math.isclose(float(tri.areas.sum()), poisson32.box.volume,
                             rel_tol=1e-9)
 
-    def test_voronoi_builds_half_edge_table_once(self, poisson32,
+    def test_dual_and_validation_reuse_the_table(self, poisson32,
                                                  monkeypatch):
-        # one table for the hull candidate, kept in step by the flip pass
-        # and then read by validation
+        # delaunay builds the table of its final triangles; once it returns,
+        # neither validation nor the dual walk builds another
         calls = []
-        build = hupa.tessellation._half_edge_table
+        build = hupa.tessellation._half_edge_arrays
+        triangulate = hupa.tessellation.delaunay
 
-        def counted(tris):
-            calls.append(len(tris))
-            return build(tris)
+        def counted(vertex, offset):
+            calls.append(phase[-1])
+            return build(vertex, offset)
 
-        monkeypatch.setattr(hupa.tessellation, "_half_edge_table", counted)
+        def then_validate(pattern):
+            tri = triangulate(pattern)
+            phase.append("after")
+            hupa.tessellation._validate_triangulation(tri)
+            return tri
+
+        phase = ["delaunay"]
+        monkeypatch.setattr(hupa.tessellation, "_half_edge_arrays", counted)
+        monkeypatch.setattr(hupa.tessellation, "delaunay", then_validate)
         voronoi(poisson32)
-        assert len(calls) == 1
+        assert "delaunay" in calls
+        assert "after" not in calls
 
     def test_empty_circumcircles(self, poisson32):
         assert circumcircle_violations(delaunay(poisson32)) == 0
@@ -161,19 +173,19 @@ class TestDelaunayStructure:
             tri = delaunay(pat)
             tol = hupa.tessellation.MERGE_TOL_FACTOR * pat.box.min_length
             lengths = np.asarray(pat.box.lengths)
+            table = half_edge_dict_reference(tri.triangles)
             want = set()
-            for (i, (j, d)), (t0, s0, _) in tri.half_edges.items():
+            for (i, (j, d)), (t0, s0, _) in table.items():
                 if (i, (0, 0)) < (j, d):
                     twin = (j, (i, (-d[0], -d[1])))
-                    t1, s1, _ = tri.half_edges[twin]
+                    t1, s1, _ = table[twin]
                     c0 = tri.circumcenters[t0] + np.asarray(s0) * lengths
                     c1 = (tri.circumcenters[t1]
                           + (np.asarray(s1) + np.asarray(d)) * lengths)
                     if math.hypot(*(c0 - c1)) <= tol:
                         want |= {(i, (j, d)), twin}
-            edges = hupa.tessellation._half_edge_arrays(tri)
-            mask, joined = hupa.tessellation._degenerate_edges(tri, edges, tol)
-            src, dst, delta = edges[:3]
+            mask, joined = hupa.tessellation._degenerate_edges(tri, tol)
+            src, dst, delta = tri.half_edges[:3]
             got = {(src[h], (dst[h], tuple(delta[h])))
                    for h in np.flatnonzero(mask).tolist()}
             assert got == want
@@ -181,23 +193,22 @@ class TestDelaunayStructure:
 
     def test_check_structure_rejects_broken_tables(self, poisson32):
         n = len(poisson32)
-        tris = dict(enumerate(delaunay(poisson32).triangles))
-        table = hupa.tessellation._half_edge_table(tris)
+        tri = delaunay(poisson32)
+        build = hupa.tessellation._half_edge_arrays
         check = hupa.tessellation._check_structure
-        assert check(tris, table, n)
+        assert check(build(tri.vertex, tri.offset), n)
         # a duplicated half-edge: triangle 0 twice, triangle 1 gone
-        twice = dict(tris)
-        twice[1] = tris[0]
-        assert not check(twice, hupa.tessellation._half_edge_table(twice), n)
+        vertex, offset = tri.vertex.copy(), tri.offset.copy()
+        vertex[1], offset[1] = vertex[0], offset[0]
+        assert not check(build(vertex, offset), n)
         # a missing twin, with the count of half-edges kept at 6N
-        lonely = dict(table)
-        i, (j, (dx, dy)) = next(iter(lonely))
-        lonely[(i, (j, (dx + 5, dy)))] = lonely.pop((i, (j, (dx, dy))))
-        assert len(lonely) == 6 * n
-        assert not check(tris, lonely, n)
+        offset = tri.offset.copy()
+        offset[0, 1, 0] += 5
+        lonely = build(tri.vertex, offset)
+        assert len(lonely[0]) == 6 * n
+        assert not check(lonely, n)
         # point 0 unused: every index moved up by one, twins all present
-        moved = {t: tuple((b + 1, o) for b, o in tri) for t, tri in tris.items()}
-        assert not check(moved, hupa.tessellation._half_edge_table(moved), n)
+        assert not check(build(tri.vertex + 1, tri.offset), n)
 
 
 class TestVoronoi:
@@ -425,16 +436,20 @@ def test_half_edge_table_properties(n, seed):
         tri = delaunay(pat)
     except hupa.tessellation._TooSparseError:
         return
-    table = tri.half_edges
+    src, dst, delta, shift, twin, order = tri.half_edges
+    key = np.column_stack((src, dst, delta))
+    assert key[order].tolist() == sorted(key.tolist())
+    # every half-edge has its twin
+    assert np.array_equal(key[twin], np.column_stack((dst, src, -delta)))
     stars: dict = {}
-    for (i, (j, (dx, dy))), (t, (sx, sy), w) in table.items():
-        assert (j, (i, (-dx, -dy))) in table
-        # the entry names the CCW triangle (i, j, w) moved into i's frame
-        moved = [(b, (ox + sx, oy + sy)) for b, (ox, oy) in tri.triangles[t]]
-        k = moved.index((i, (0, 0)))
-        assert moved[(k + 1) % 3] == (j, (dx, dy))
-        assert moved[(k + 2) % 3] == w
-        stars.setdefault(i, set()).add((j, (dx, dy)))
+    for h, ((i, j, dx, dy), (sx, sy)) in enumerate(zip(key.tolist(),
+                                                       shift.tolist())):
+        # half-edge 3t + p starts at corner p of triangle t, the CCW
+        # triangle (i, j, w) moved into i's frame
+        moved = [(b, (ox + sx, oy + sy)) for b, (ox, oy) in tri.triangles[h // 3]]
+        assert moved[h % 3] == (i, (0, 0))
+        assert moved[(h + 1) % 3] == (j, (dx, dy))
+        stars.setdefault(i, {})[(j, (dx, dy))] = moved[(h + 2) % 3]
     assert sorted(stars) == list(range(n))
     degrees = 0
     for i, star in stars.items():
@@ -442,7 +457,7 @@ def test_half_edge_table_properties(n, seed):
         seen = []
         while True:
             seen.append(u)
-            u = table[(i, u)][2]
+            u = star[u]
             if u == u0:
                 break
             assert len(seen) < len(star)
@@ -451,6 +466,68 @@ def test_half_edge_table_properties(n, seed):
     assert degrees == 6 * n
     shuffled = make_pattern(pat.points[rng.permutation(n)], lengths)
     assert corner_keys(delaunay(shuffled)) == corner_keys(tri)
+
+
+def incircle_signs(triangles, pattern):
+    """Fraction incircle sign of every edge's quad (a, b, c, d), taken in
+    the frame of the edge's key: positive when d is inside circle abc."""
+    pts, (lx, ly) = pattern.points, pattern.box.lengths
+    table = half_edge_dict_reference(triangles)
+
+    def at(b, o):
+        return (pts[b][0] + o[0] * lx, pts[b][1] + o[1] * ly)
+
+    signs = []
+    for (i, (j, d)), (_, _, w) in table.items():
+        if (i, (0, 0)) < (j, d):
+            _, _, (k, (ox, oy)) = table[(j, (i, (-d[0], -d[1])))]
+            signs.append(incircle_fraction(at(i, (0, 0)), at(j, d), at(*w),
+                                           at(k, (ox + d[0], oy + d[1]))))
+    return signs
+
+
+def rows_as_triangles(vertex, offset):
+    return [tuple((b, tuple(o)) for b, o in zip(vs, os))
+            for vs, os in zip(vertex.tolist(), offset.tolist())]
+
+
+@given(seed=st.integers(0, 2**20), eta=st.floats(1e-3, 1e-2))
+def test_flip_pass_repairs_a_tilted_hull(seed, eta):
+    # a lift tilted far beyond the default heights gives hull candidates
+    # with illegal edges; the flip pass must turn each into delaunay()'s
+    tess = hupa.tessellation
+    pat = poisson((12.0, 12.0), 1.0, seed)
+    ranks = tess._point_ranks(pat.points)
+    vertex, offset = tess._initial_triangulation(pat, ranks, eta)
+    edges = tess._half_edge_arrays(vertex, offset)
+    assume(tess._check_structure(edges, len(pat)))
+    assume(max(incircle_signs(rows_as_triangles(vertex, offset), pat)) > 0)
+    vertex, offset = tess._flip_to_delaunay(vertex, offset, edges, pat, ranks)
+    tri = delaunay(pat)
+    assert rows_as_triangles(vertex, offset) == list(tri.triangles)
+    assert max(incircle_signs(tri.triangles, pat)) < 0
+
+
+def test_flipping_pattern_bytes_are_pinned(tmp_path, monkeypatch):
+    # perfbench's pinned pattern needs no flips; this one needs a second
+    # sweep, so its bytes pin the flip pass
+    pat = poisson((80.0, 80.0), 1.0, seed=1)
+    calls = []
+    incircle = hupa.tessellation.incircle_perturbed
+
+    def counted(*args):
+        calls.append(args)
+        return incircle(*args)
+
+    monkeypatch.setattr(hupa.tessellation, "incircle_perturbed", counted)
+    tri = delaunay(pat)
+    assert len(calls) > 3 * len(pat) == 3 * 6403
+    for obj, digest in (
+            (tri, "4850f696fe989d9bf7bf1e02c3dd92cd06b741363773d856acbf707af0f89320"),
+            (voronoi(pat),
+             "9e25bd0640f67dc4ac6e3369c9234c4d81a13ec5b3e4c112b5bf111579b72ecf")):
+        save_tess(obj, tmp_path / "out.tess")
+        assert hashlib.sha256((tmp_path / "out.tess").read_bytes()).hexdigest() == digest
 
 
 def reference_pattern(kind, size, seed):
